@@ -9,8 +9,9 @@
 //! Usage: `obs_validate <file>...` — each file's format is detected from
 //! its content:
 //!
-//! - a first line tagged `hypersio-checkpoint/v1` → binary checkpoint
-//!   (header fields plus the body's length and FNV-1a-64 checksum),
+//! - a first line tagged `hypersio-checkpoint/` → binary checkpoint
+//!   (`v2` header fields plus the body's length and FNV-1a-64 checksum;
+//!   other versions are reported as an unknown schema),
 //! - a first line tagged `hypersio-events/v1` → JSON Lines event trace,
 //! - a `.csv` suffix or a `window_start_us,` header → time-series CSV,
 //! - otherwise a JSON document dispatched on its `schema` field
@@ -61,8 +62,8 @@ fn validate_file(path: &str) -> Result<&'static str, String> {
     // Read as bytes first: a checkpoint's body is binary, not UTF-8.
     let raw = std::fs::read(path).map_err(|e| format!("cannot read: {e}"))?;
     let first_raw = raw.split(|&b| b == b'\n').next().unwrap_or(&[]);
-    if String::from_utf8_lossy(first_raw).contains("hypersio-checkpoint/v1") {
-        return validate_checkpoint(&raw).map(|()| "run checkpoint (hypersio-checkpoint/v1)");
+    if String::from_utf8_lossy(first_raw).contains("hypersio-checkpoint/") {
+        return validate_checkpoint(&raw).map(|()| "run checkpoint (hypersio-checkpoint/v2)");
     }
     let text = String::from_utf8(raw).map_err(|_| "cannot read: file is not UTF-8".to_string())?;
     let first_line = text.lines().next().unwrap_or("");

@@ -843,7 +843,7 @@ pub fn validate_spans_schema(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// FNV-1a over 64 bits — the checksum the `hypersio-checkpoint/v1` writer
+/// FNV-1a over 64 bits — the checksum the `hypersio-checkpoint/v2` writer
 /// uses, reimplemented here so the validator stays independent of the
 /// simulator crate's encoder (a drift in either side fails CI).
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -868,7 +868,7 @@ fn checkpoint_hex(doc: &Json, field: &str) -> Result<u64, String> {
         .map_err(|_| format!("'{field}' must be a 0x-prefixed hex string"))
 }
 
-/// Checks an `hypersio-checkpoint/v1` file (the `--checkpoint-out` CLI
+/// Checks an `hypersio-checkpoint/v2` file (the `--checkpoint-out` CLI
 /// output): one JSON header line carrying the schema tag, the run
 /// identity (`config`, `tenants`, `fingerprint`), and the body's shape
 /// (`words`, `crc`) — followed by a binary little-endian `u64` body whose
@@ -883,7 +883,7 @@ pub fn validate_checkpoint(bytes: &[u8]) -> Result<(), String> {
     let header = std::str::from_utf8(&bytes[..newline]).map_err(|_| "header is not UTF-8")?;
     let doc = parse(header).map_err(|e| format!("header: {e}"))?;
     match doc.get("schema").and_then(Json::as_str) {
-        Some("hypersio-checkpoint/v1") => {}
+        Some("hypersio-checkpoint/v2") => {}
         Some(other) => return Err(format!("unknown schema '{other}'")),
         None => return Err("missing string field 'schema'".into()),
     }
@@ -1339,7 +1339,7 @@ mod tests {
         }
         let header = format!(
             concat!(
-                r#"{{"schema":"hypersio-checkpoint/v1","config":"HyperTRIO","tenants":128,"#,
+                r#"{{"schema":"hypersio-checkpoint/v2","config":"HyperTRIO","tenants":128,"#,
                 r#""fingerprint":"0x00000000deadbeef","words":{},"crc":"{:#018x}"}}"#,
                 "\n"
             ),
@@ -1374,7 +1374,10 @@ mod tests {
         assert!(err.contains("checksum"), "{err}");
         // Wrong schema tag.
         let as_text = String::from_utf8(checkpoint_file(&[]).to_vec()).unwrap();
-        let err = validate_checkpoint(as_text.replace("/v1", "/v9").as_bytes()).unwrap_err();
+        let err = validate_checkpoint(as_text.replace("/v2", "/v9").as_bytes()).unwrap_err();
+        assert!(err.contains("unknown schema"), "{err}");
+        // The v1 format is no longer read.
+        let err = validate_checkpoint(as_text.replace("/v2", "/v1").as_bytes()).unwrap_err();
         assert!(err.contains("unknown schema"), "{err}");
         // Hex fields must be 0x-prefixed strings.
         let err = validate_checkpoint(as_text.replace("\"0x00000000deadbeef\"", "12").as_bytes())

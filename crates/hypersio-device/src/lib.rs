@@ -9,8 +9,6 @@
 //!   nominal bandwidth, which is how HyperSIO schedules arrivals (§IV-C).
 //! - [`Pcie`]: the device ↔ chipset traversal latency (450 ns one-way,
 //!   Table II).
-//! - [`RingBuffer`]: the descriptor ring whose pointer page is the paper's
-//!   group-1 "hottest page" (§IV-D).
 //! - [`SriovDevice`]: SR-IOV PF/VF enumeration and the PF-interleaved VF
 //!   assignment of the §II case study.
 //!
@@ -30,11 +28,9 @@
 mod link;
 mod packet;
 mod pcie;
-mod ring;
 mod sriov;
 
 pub use link::Link;
 pub use packet::PacketSpec;
 pub use pcie::Pcie;
-pub use ring::{RingBuffer, RingFullError};
 pub use sriov::{SriovDevice, VirtualFunction};

@@ -6,7 +6,6 @@ use hypersio_types::{Bdf, Did, GIova, HPa, PageSize, Sid, SimDuration};
 
 use crate::context::{ContextCache, ContextEntry};
 use crate::dram::Dram;
-use crate::space::TenantSpace;
 use crate::space_pool::{PoolStats, SpacePool};
 use crate::walk_cache::{WalkCacheConfig, WalkCaches};
 use crate::walker::{TranslationFault, TwoDimWalker, WalkMemo};
@@ -131,35 +130,16 @@ pub struct Iommu {
 }
 
 impl Iommu {
-    /// Creates an IOMMU over the given eagerly built tenant spaces.
+    /// Creates an IOMMU over a [`SpacePool`].
     ///
-    /// Spaces must be indexed by DID: `spaces[i].did() == Did::new(i)`.
-    /// A context entry is installed for every tenant with `Bdf = did`
-    /// (the 1 VF : 1 tenant model of the paper's emulated system).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spaces are not DID-indexed.
-    pub fn new(params: IommuParams, spaces: Vec<TenantSpace>) -> Self {
-        Iommu::with_pool(params, SpacePool::dense(spaces))
-    }
-
-    /// Creates an IOMMU over a [`SpacePool`] — the scale-out entry point.
-    ///
-    /// For a dense pool this is exactly [`Iommu::new`]: every context
-    /// entry is installed up front. For a lazy pool, context entries are
-    /// installed when a tenant's space is first materialised (the
-    /// hypervisor-configures-on-first-use view of a million-tenant host);
-    /// translation behaviour is otherwise identical, since the context
-    /// *cache* starts cold either way.
-    pub fn with_pool(params: IommuParams, pool: SpacePool) -> Self {
-        let mut context = ContextCache::new(params.context_entries);
-        if !pool.is_lazy() {
-            for did in 0..pool.tenants() {
-                let did = Did::new(did);
-                context.install(Bdf::from_routing_id(did.raw()), ContextEntry::new(did));
-            }
-        }
+    /// Context entries (`Bdf = did`, the 1 VF : 1 tenant model of the
+    /// paper's emulated system) are installed when a tenant's space is
+    /// stamped — the hypervisor-configures-on-first-use view of a
+    /// hyper-tenant host. The context *cache* starts cold, so a tenant's
+    /// first translation pays the same context fetch whenever its entry
+    /// was installed.
+    pub fn new(params: IommuParams, pool: SpacePool) -> Self {
+        let context = ContextCache::new(params.context_entries);
         let caches = WalkCaches::new(&params.walk_caches);
         let dram = Dram::new(params.dram_latency);
         Iommu {
@@ -176,15 +156,6 @@ impl Iommu {
     /// Returns the configured parameters.
     pub fn params(&self) -> &IommuParams {
         &self.params
-    }
-
-    /// Returns the tenant spaces of an eagerly built (dense) IOMMU.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a lazily pooled IOMMU, whose resident set is not dense.
-    pub fn spaces(&self) -> &[TenantSpace] {
-        self.pool.dense_spaces()
     }
 
     /// Returns the space pool's build/eviction counters.
@@ -234,8 +205,8 @@ impl Iommu {
         );
         self.stats.requests += 1;
 
-        // Materialise the tenant's tables (no-op for a dense pool); a
-        // first touch also installs the context entry on demand.
+        // Materialise the tenant's tables; a fresh stamp also installs the
+        // context entry on demand.
         let bdf = Bdf::from_routing_id(did.raw());
         if self.pool.ensure(did) {
             self.context.install(bdf, ContextEntry::new(did));
@@ -245,7 +216,7 @@ impl Iommu {
         let (entry, context_reads) = self
             .context
             .lookup_or_fetch(bdf, now)
-            .expect("context entries installed at construction or first touch");
+            .expect("context entries are installed when a space is stamped");
         debug_assert_eq!(entry.did(), did);
         let mut latency = self.dram.read_many(context_reads);
 
@@ -347,7 +318,7 @@ impl Iommu {
 
     /// Sheds reclaimable memory under host pressure: the walk memo is
     /// dropped (its entries are pure-function results, rebuilt on demand)
-    /// and a lazy space pool's residency cap is halved with LRU eviction
+    /// and the space pool's residency cap is halved with LRU eviction
     /// ([`SpacePool::shrink_residency`]). Both actions are transparent to
     /// the model — a degraded run produces bit-identical translations.
     /// Returns `(spaces evicted, memo entries dropped)`.
@@ -375,8 +346,8 @@ impl Iommu {
     }
 
     /// Restores state captured by [`Self::snapshot_words`] into a freshly
-    /// constructed IOMMU of the same configuration. Lazy tenants resident
-    /// at the checkpoint get their spaces re-stamped and their context
+    /// constructed IOMMU of the same configuration. Tenants resident at
+    /// the checkpoint get their spaces re-stamped and their context
     /// entries re-installed; the walk memo starts empty. Returns `None`
     /// on a corrupt stream or a configuration mismatch.
     pub fn restore_words(&mut self, r: &mut hypersio_cache::WordReader<'_>) -> Option<()> {
@@ -390,21 +361,20 @@ impl Iommu {
         self.caches.restore_words(r)?;
         self.pool.restore_words(r)?;
         self.memo.clear();
-        if self.pool.is_lazy() {
-            // The architected context table holds an entry per ever-touched
-            // tenant; rebuilding it for the *resident* set is sufficient,
-            // because a non-resident tenant's next touch re-installs its
-            // entry on the ensure() path exactly as the first touch did.
-            for did in self.pool.resident_dids() {
-                self.context
-                    .install(Bdf::from_routing_id(did.raw()), ContextEntry::new(did));
-            }
+        // The architected context table holds an entry per ever-touched
+        // tenant; rebuilding it for the *resident* set is sufficient,
+        // because a non-resident tenant's next touch re-installs its entry
+        // on the ensure() path exactly as the first touch did.
+        for did in self.pool.resident_dids() {
+            self.context
+                .install(Bdf::from_routing_id(did.raw()), ContextEntry::new(did));
         }
         Some(())
     }
 
     /// Migrates tenant `did` to host slab `slab`: the host table is
-    /// re-stamped at the new location ([`TenantSpace::migrate_to_slab`]),
+    /// re-stamped at the new location
+    /// ([`TenantSpace::migrate_to_slab`](crate::TenantSpace::migrate_to_slab)),
     /// the cached context entry is invalidated (the hypervisor rewrites it
     /// during the hand-over), and every walk-cache entry of the DID is shot
     /// down — the cached nested translations point into the old slab.
@@ -442,6 +412,7 @@ impl fmt::Debug for Iommu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TenantSpace;
     use hypersio_types::PageSize;
 
     fn tenant(did: u32) -> TenantSpace {
@@ -451,8 +422,12 @@ mod tests {
         b.build()
     }
 
+    fn iommu_with(params: IommuParams, tenants: u32) -> Iommu {
+        Iommu::new(params, SpacePool::new(tenant(0), tenants, None))
+    }
+
     fn iommu(tenants: u32) -> Iommu {
-        Iommu::new(IommuParams::paper(), (0..tenants).map(tenant).collect())
+        iommu_with(IommuParams::paper(), tenants)
     }
 
     #[test]
@@ -484,7 +459,7 @@ mod tests {
     fn translation_matches_functional_lookup() {
         let mut m = iommu(2);
         let iova = GIova::new(0xbbe0_0000 + 0x555);
-        let want = m.spaces()[1].lookup(iova).unwrap().0;
+        let want = tenant(1).lookup(iova).unwrap().0;
         let got = m.translate(Sid::new(1), Did::new(1), iova, 0).unwrap().hpa;
         assert_eq!(got, want);
     }
@@ -539,13 +514,15 @@ mod tests {
         m.migrate_tenant(Did::new(0), 7);
         let after = m.translate(Sid::new(0), Did::new(0), iova, 1).unwrap();
         assert_ne!(after.hpa, before, "migration must move the host frame");
-        assert_eq!(after.hpa, m.spaces()[0].lookup(iova).unwrap().0);
+        let mut moved = tenant(0);
+        moved.migrate_to_slab(7);
+        assert_eq!(after.hpa, moved.lookup(iova).unwrap().0);
         // Walk caches were shot down and the context entry refetched:
         // 2 context reads + full 19-access walk.
         assert_eq!(after.dram_accesses, 21);
         // The other tenant still translates to its original frame.
         let other = m.translate(Sid::new(1), Did::new(1), iova, 2).unwrap();
-        assert_eq!(other.hpa, m.spaces()[1].lookup(iova).unwrap().0);
+        assert_eq!(other.hpa, tenant(1).lookup(iova).unwrap().0);
     }
 
     #[test]
@@ -591,43 +568,37 @@ mod tests {
         assert_eq!(batched.dram_accesses(), scalar.dram_accesses());
     }
 
-    #[test]
-    #[should_panic(expected = "indexed by DID")]
-    fn spaces_must_be_did_indexed() {
-        let _ = Iommu::new(IommuParams::paper(), vec![tenant(1)]);
-    }
-
-    fn lazy_iommu(tenants: u32, resident: usize) -> Iommu {
+    fn budgeted_iommu(tenants: u32, resident: usize) -> Iommu {
         let canonical = tenant(0);
         let budget = canonical.per_tenant_bytes() * resident as u64;
-        Iommu::with_pool(
+        Iommu::new(
             IommuParams::paper(),
-            SpacePool::lazy(canonical, tenants, Some(budget)),
+            SpacePool::new(canonical, tenants, Some(budget)),
         )
     }
 
     #[test]
-    fn lazy_pool_translates_identically_to_dense() {
-        // Same requests through an eager IOMMU and a 2-resident lazy one:
+    fn budgeted_pool_translates_identically_to_unbounded() {
+        // Same requests through an unbounded IOMMU and a 2-resident one:
         // responses, cache stats, and DRAM accounting must be identical
-        // even while the lazy pool thrashes (4 tenants round-robin).
-        let mut dense = iommu(4);
-        let mut lazy = lazy_iommu(4, 2);
+        // even while the budgeted pool thrashes (4 tenants round-robin).
+        let mut unbounded = iommu(4);
+        let mut budgeted = budgeted_iommu(4, 2);
         let iovas = [0xbbe0_0000u64, 0x3480_0000, 0xbbe0_4242];
         let mut now = 0u64;
         for round in 0..3 {
             for t in 0..4u32 {
                 let iova = GIova::new(iovas[(round + t as usize) % iovas.len()]);
-                let a = dense.translate(Sid::new(t), Did::new(t), iova, now);
-                let b = lazy.translate(Sid::new(t), Did::new(t), iova, now);
+                let a = unbounded.translate(Sid::new(t), Did::new(t), iova, now);
+                let b = budgeted.translate(Sid::new(t), Did::new(t), iova, now);
                 assert_eq!(a, b, "round {round} tenant {t}");
                 now += 1;
             }
         }
-        assert_eq!(dense.stats(), lazy.stats());
-        assert_eq!(dense.walk_cache_stats(), lazy.walk_cache_stats());
-        assert_eq!(dense.dram_accesses(), lazy.dram_accesses());
-        let pool = lazy.pool_stats();
+        assert_eq!(unbounded.stats(), budgeted.stats());
+        assert_eq!(unbounded.walk_cache_stats(), budgeted.walk_cache_stats());
+        assert_eq!(unbounded.dram_accesses(), budgeted.dram_accesses());
+        let pool = budgeted.pool_stats();
         assert!(
             pool.evictions > 0,
             "2-resident pool must evict under 4 tenants"
@@ -636,8 +607,8 @@ mod tests {
     }
 
     #[test]
-    fn lazy_migration_survives_eviction() {
-        let mut m = lazy_iommu(4, 1);
+    fn migration_survives_eviction() {
+        let mut m = budgeted_iommu(4, 1);
         let iova = GIova::new(0xbbe0_0042);
         let home = m.translate(Sid::new(0), Did::new(0), iova, 0).unwrap().hpa;
         m.migrate_tenant(Did::new(0), 9);
@@ -653,10 +624,10 @@ mod tests {
     #[test]
     fn wide_dids_do_not_collide_in_the_context_path() {
         // DIDs beyond 65536 used to truncate to 16-bit BDFs; the routing-id
-        // widening must keep them distinct. A tiny lazy pool stands in for
+        // widening must keep them distinct. A tiny budgeted pool stands in for
         // the >64k-tenant case without building 64k spaces.
         let far = 70_000u32;
-        let mut m = lazy_iommu(far + 1, 2);
+        let mut m = budgeted_iommu(far + 1, 2);
         let iova = GIova::new(0xbbe0_0000);
         let a = m.translate(Sid::new(4), Did::new(4), iova, 0).unwrap().hpa;
         let b = m
@@ -673,7 +644,7 @@ mod tests {
 
     #[test]
     fn flat_tables_cost_one_read() {
-        let mut m = Iommu::new(IommuParams::paper().with_flat_tables(), vec![tenant(0)]);
+        let mut m = iommu_with(IommuParams::paper().with_flat_tables(), 1);
         let iova = GIova::new(0xbbe0_0042);
         let r = m.translate(Sid::new(0), Did::new(0), iova, 0).unwrap();
         // 2 context reads + 1 flat entry read.
@@ -683,13 +654,13 @@ mod tests {
         assert_eq!(r.dram_accesses, 1);
         assert_eq!(r.latency.as_ns(), 50);
         // Functionally identical to the nested walk.
-        let want = m.spaces()[0].lookup(iova).unwrap().0;
+        let want = tenant(0).lookup(iova).unwrap().0;
         assert_eq!(r.hpa, want);
     }
 
     #[test]
     fn flat_tables_still_fault_on_unmapped() {
-        let mut m = Iommu::new(IommuParams::paper().with_flat_tables(), vec![tenant(0)]);
+        let mut m = iommu_with(IommuParams::paper().with_flat_tables(), 1);
         assert!(m
             .translate(Sid::new(0), Did::new(0), GIova::new(0x1), 0)
             .is_err());
@@ -701,7 +672,7 @@ mod tests {
         // Many tenants mapping identical gIOVAs contend for the same walk
         // cache sets; with enough tenants, L2 hit rate collapses.
         let tenants = 128u32;
-        let mut m = Iommu::new(IommuParams::paper(), (0..tenants).map(tenant).collect());
+        let mut m = iommu(tenants);
         let iova = GIova::new(0xbbe0_0000);
         for round in 0..4u64 {
             for t in 0..tenants {
@@ -750,7 +721,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_a_dense_iommu_with_migrations() {
+    fn snapshot_round_trips_an_unbounded_iommu_with_migrations() {
         let mut src = iommu(4);
         let iova = GIova::new(0xbbe0_0000);
         for t in 0..4u32 {
@@ -763,8 +734,8 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_a_lazy_iommu_mid_eviction() {
-        let mut src = lazy_iommu(8, 2);
+    fn snapshot_round_trips_a_budgeted_iommu_mid_eviction() {
+        let mut src = budgeted_iommu(8, 2);
         let iova = GIova::new(0xbbe0_0042);
         for t in 0..6u32 {
             src.translate(Sid::new(t), Did::new(t), iova, t as u64)
@@ -772,11 +743,11 @@ mod tests {
         }
         src.migrate_tenant(Did::new(1), 77); // non-resident override
         assert!(src.pool_stats().evictions > 0);
-        let dst = lazy_iommu(8, 2);
+        let dst = budgeted_iommu(8, 2);
         let before = src.pool_stats();
         let mut words = Vec::new();
         src.snapshot_words(&mut words);
-        let mut restored = lazy_iommu(8, 2);
+        let mut restored = budgeted_iommu(8, 2);
         let mut r = hypersio_cache::WordReader::new(&words);
         restored.restore_words(&mut r).unwrap();
         assert_eq!(restored.pool_stats(), before);
@@ -791,10 +762,10 @@ mod tests {
         let mut words = Vec::new();
         src.snapshot_words(&mut words);
 
-        // A lazy IOMMU cannot restore a dense snapshot.
-        let mut lazy = lazy_iommu(2, 1);
+        // An IOMMU over a different tenant count cannot restore it.
+        let mut wider = iommu(3);
         let mut r = hypersio_cache::WordReader::new(&words);
-        assert!(lazy.restore_words(&mut r).is_none());
+        assert!(wider.restore_words(&mut r).is_none());
 
         // A nested-TLB IOMMU cannot restore a flat-config snapshot.
         let params = IommuParams {
@@ -802,7 +773,7 @@ mod tests {
                 .with_nested_tlb(hypersio_cache::CacheGeometry::new(64, 8)),
             ..IommuParams::paper()
         };
-        let mut nested = Iommu::new(params, (0..2).map(tenant).collect());
+        let mut nested = iommu_with(params, 2);
         let mut r = hypersio_cache::WordReader::new(&words);
         assert!(nested.restore_words(&mut r).is_none());
 
@@ -816,8 +787,8 @@ mod tests {
 
     #[test]
     fn memory_pressure_relief_is_model_transparent() {
-        let mut plain = lazy_iommu(8, 4);
-        let mut squeezed = lazy_iommu(8, 4);
+        let mut plain = budgeted_iommu(8, 4);
+        let mut squeezed = budgeted_iommu(8, 4);
         let iova = GIova::new(0xbbe0_0042);
         let mut now = 0;
         for t in 0..4u32 {

@@ -20,20 +20,23 @@
 //! - [`ContextCache`]: BDF → context-entry cache ("CC" in the paper's
 //!   Fig 3).
 //! - [`Dram`]: fixed-latency DRAM with access accounting.
+//! - [`SpacePool`]: the per-DID tenant spaces, stamped from one canonical
+//!   build on first touch and LRU-evicted under a host-memory budget.
 //! - [`Iommu`]: the assembled translation pipeline with per-request latency
 //!   and statistics.
 //!
 //! # Examples
 //!
 //! ```
-//! use hypersio_mem::{Iommu, IommuParams, TenantSpace};
+//! use hypersio_mem::{Iommu, IommuParams, SpacePool, TenantSpace};
 //! use hypersio_types::{Did, GIova, PageSize, Sid};
 //!
-//! let mut space = TenantSpace::builder(Did::new(0));
-//! space.map(GIova::new(0xbbe0_0000), PageSize::Size2M);
-//! let space = space.build();
+//! let mut canonical = TenantSpace::builder(Did::new(0));
+//! canonical.map(GIova::new(0xbbe0_0000), PageSize::Size2M);
+//! // One tenant, no table budget: its space is stamped on first touch.
+//! let pool = SpacePool::new(canonical.build(), 1, None);
 //!
-//! let mut iommu = Iommu::new(IommuParams::paper(), vec![space]);
+//! let mut iommu = Iommu::new(IommuParams::paper(), pool);
 //! let resp = iommu
 //!     .translate(Sid::new(0), Did::new(0), GIova::new(0xbbe0_1234), 0)
 //!     .expect("page is mapped");

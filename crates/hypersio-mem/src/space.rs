@@ -111,38 +111,7 @@ impl TenantSpaceBuilder {
     /// Panics if the page inventory overflows the per-tenant host slab,
     /// or if two added pages overlap with different sizes.
     pub fn build(&self) -> TenantSpace {
-        self.build_with_did(self.did)
-    }
-
-    /// Builds the paired tables for every DID in `dids`, sharing the work.
-    ///
-    /// The layout produced by [`TenantSpaceBuilder::build`] is *affine in
-    /// the DID*: the guest dimension (table nodes, data frames) is
-    /// DID-independent by design (§IV-D — same OS and driver in every
-    /// tenant), and every host-side address is `canonical + did * slab`
-    /// because host frames and host table nodes are bump-allocated in an
-    /// identical, DID-independent order from per-DID slab bases that are
-    /// one uniform stride apart. (The stride is a multiple of every page
-    /// alignment that fits in a slab, so alignment padding is identical
-    /// across DIDs too.) This method exploits that: it replays the page
-    /// inventory once to build the canonical DID-0 space, then stamps out
-    /// each requested tenant by cloning the guest table and
-    /// [rebasing](RadixTable::rebased) the host table — turning the
-    /// O(tenants × pages) construction into O(pages + tenants × nodes).
-    ///
-    /// The result is bit-identical to calling `build()` once per DID.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`TenantSpaceBuilder::build`].
-    pub fn build_many(&self, dids: &[Did]) -> Vec<TenantSpace> {
-        let canonical = self.build_with_did(Did::new(0));
-        dids.iter()
-            .map(|&did| canonical.stamp(did, did.raw() as u64))
-            .collect()
-    }
-
-    fn build_with_did(&self, did: Did) -> TenantSpace {
+        let did = self.did;
         let host_slab_base = 0x10_0000_0000 + did.raw() as u64 * HOST_SLAB_PER_TENANT;
         let mut host_next = host_slab_base;
         let mut alloc_host = move || {
@@ -268,7 +237,7 @@ pub struct TenantSpace {
     /// (`did` at build time; bumped by [`TenantSpace::migrate_to_slab`]).
     host_slab: u64,
     /// Identity of the canonical layout this space was stamped from.
-    /// Spaces produced by one [`TenantSpaceBuilder::build_many`] call share
+    /// Spaces [stamped](TenantSpace::stamp) from one canonical build share
     /// an id; each [`TenantSpaceBuilder::build`] gets a fresh one.
     layout_id: u64,
     /// Offset of every host-side address relative to the canonical layout
@@ -323,9 +292,20 @@ impl TenantSpace {
     /// this *canonical* (unrebased, slab-0) space: the guest table is
     /// shared by reference, the host table is
     /// [rebased](RadixTable::rebased) into the slab, and the layout
-    /// identity is inherited — exactly what
-    /// [`TenantSpaceBuilder::build_many`] produces for `slab == did`, and
-    /// what a lazy pool rebuilds on first touch or after eviction.
+    /// identity is inherited. This is what a [`crate::SpacePool`] stamps
+    /// on first touch or after eviction.
+    ///
+    /// For `slab == did` the result is bit-identical to
+    /// [`TenantSpaceBuilder::build`] for `did`, because that layout is
+    /// *affine in the DID*: the guest dimension (table nodes, data frames)
+    /// is DID-independent by design (§IV-D — same OS and driver in every
+    /// tenant), and every host-side address is `canonical + did * slab`
+    /// because host frames and host table nodes are bump-allocated in an
+    /// identical, DID-independent order from per-DID slab bases that are
+    /// one uniform stride apart. (The stride is a multiple of every page
+    /// alignment that fits in a slab, so alignment padding is identical
+    /// across DIDs too.) Stamping therefore costs O(nodes) per tenant
+    /// instead of replaying the O(pages) inventory.
     ///
     /// Stamping is deterministic: the same `(canonical, did, slab)` always
     /// yields a bit-identical space, which is why eviction plus rebuild
@@ -359,7 +339,7 @@ impl TenantSpace {
     }
 
     /// Returns the identity of the canonical layout this space shares with
-    /// its [`TenantSpaceBuilder::build_many`] siblings.
+    /// every sibling [stamped](TenantSpace::stamp) from the same build.
     ///
     /// Two spaces with the same id have bit-identical guest tables and host
     /// tables that differ only by a uniform [`TenantSpace::host_delta`]
@@ -553,7 +533,7 @@ mod tests {
     }
 
     #[test]
-    fn build_many_is_bit_identical_to_per_did_builds() {
+    fn stamps_are_bit_identical_to_per_did_builds() {
         let mut b = TenantSpace::builder(Did::new(0));
         b.map(GIova::new(0x3480_0000), PageSize::Size4K);
         for i in 0..32u64 {
@@ -562,10 +542,9 @@ mod tests {
         for i in 0..70u64 {
             b.map(GIova::new(0xf000_0000 + i * 0x1000), PageSize::Size4K);
         }
-        let dids = [Did::new(0), Did::new(1), Did::new(7), Did::new(1023)];
-        let fleet = b.build_many(&dids);
-        assert_eq!(fleet.len(), dids.len());
-        for (space, &did) in fleet.iter().zip(&dids) {
+        let canonical = b.build();
+        for did in [0, 1, 7, 1023].map(Did::new) {
+            let space = canonical.stamp(did, did.raw() as u64);
             let mut per = TenantSpace::builder(did);
             per.map(GIova::new(0x3480_0000), PageSize::Size4K);
             for i in 0..32u64 {
@@ -583,10 +562,10 @@ mod tests {
     }
 
     #[test]
-    fn build_many_respects_five_levels() {
+    fn stamping_respects_five_levels() {
         let mut b = TenantSpace::builder(Did::new(0));
         b.levels(5).map(GIova::new(0xbbe0_0000), PageSize::Size2M);
-        let fleet = b.build_many(&[Did::new(4)]);
+        let fleet = [b.build().stamp(Did::new(4), 4)];
         let mut per = TenantSpace::builder(Did::new(4));
         per.levels(5).map(GIova::new(0xbbe0_0000), PageSize::Size2M);
         let per = per.build();
@@ -668,9 +647,9 @@ mod tests {
             for i in 0..8u64 {
                 b.map(GIova::new(0xbbe0_0000 + i * 0x20_0000), PageSize::Size2M);
             }
-            let dids = [Did::new(0), Did::new(3), Did::new(511)];
-            let fleet = b.build_many(&dids);
-            for (space, &did) in fleet.iter().zip(&dids) {
+            let canonical = b.build();
+            for did in [0, 3, 511].map(Did::new) {
+                let space = canonical.stamp(did, did.raw() as u64);
                 let mut per = TenantSpace::builder(did);
                 per.geometry(geom);
                 per.map(GIova::new(0x3480_0000), PageSize::Size4K);

@@ -1,22 +1,30 @@
-//! Tenant-space pools: eager (dense) or lazy with budgeted residency.
+//! The tenant-space pool: per-DID page tables stamped on first touch.
 //!
 //! A [`SpacePool`] is the IOMMU's view of "which tenants have page
-//! tables". The dense variant is the classic eager construction — every
-//! tenant's [`TenantSpace`] built up front, indexed by DID — and is what
-//! all paper-scale (≤ 1024 tenants) runs use. The lazy variant holds only
-//! the canonical build and stamps a tenant's tables on first touch,
-//! evicting the least-recently-touched resident space when a host-memory
-//! budget would be exceeded. That is what makes million-tenant runs fit in
-//! bounded RSS: per-tenant cost collapses to a trace lane plus (while
-//! resident) one rebased host table.
+//! tables". Every tenant runs the same OS and driver (§IV-D), so every
+//! per-tenant table is a stamp of one canonical build: the pool holds
+//! that build, stamps a tenant's [`TenantSpace`] the first time the DID
+//! is touched ([`TenantSpace::stamp`]), and — under a host-memory budget —
+//! evicts the least-recently-touched resident space to make room. With no
+//! budget nothing is ever evicted and the pool ends up holding exactly
+//! the tenants the trace touched. Per-tenant cost is one `u32` slot index
+//! plus, while resident, one rebased host table; that is what makes
+//! million-tenant runs fit in bounded RSS.
 //!
-//! Eviction is *transparent to the model*: stamping is deterministic
-//! ([`TenantSpace::stamp`]), so a rebuilt space is bit-identical to the
-//! evicted one and every cached translation (DevTLB, walk caches, memo)
-//! remains correct without shootdowns. Eviction models the simulator
-//! reclaiming its own memory, not the hypervisor unmapping a tenant.
-
-use std::collections::VecDeque;
+//! Residency is indexed by DID: `slot_of[did]` names the tenant's entry
+//! in a dense resident arena (0 = not resident), and the arena entries
+//! form an index-linked LRU list — a touch moves the entry to the back,
+//! eviction pops the front and swap-removes it, dropping the space. The
+//! arena is two parallel vectors, the 12-byte links and the spaces, so
+//! relinking on a touch stays within a few small cache lines. A pool
+//! without a budget never evicts, so it does not track recency: its list
+//! stays in stamp order until memory pressure first caps it.
+//!
+//! Eviction is *transparent to the model*: stamping is deterministic, so
+//! a rebuilt space is bit-identical to the evicted one and every cached
+//! translation (DevTLB, walk caches, memo) remains correct without
+//! shootdowns. Eviction models the simulator reclaiming its own memory,
+//! not the hypervisor unmapping a tenant.
 
 use hypersio_types::fxhash::FxBuildHasher;
 use hypersio_types::Did;
@@ -25,10 +33,13 @@ use crate::space::TenantSpace;
 
 type FxMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
+/// End-of-list marker for the LRU links.
+const NIL: u32 = u32::MAX;
+
 /// Counters describing a pool's build/eviction behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Spaces stamped on demand (0 for a dense pool).
+    /// Spaces stamped on demand.
     pub builds: u64,
     /// Spaces evicted to stay under the budget.
     pub evictions: u64,
@@ -38,7 +49,8 @@ pub struct PoolStats {
     pub max_resident: usize,
 }
 
-/// A pool of per-tenant address spaces, eager or lazily materialised.
+/// A pool of per-tenant address spaces, stamped on first touch from one
+/// canonical build and LRU-evicted under an optional byte budget.
 ///
 /// # Examples
 ///
@@ -51,71 +63,53 @@ pub struct PoolStats {
 /// let canonical = b.build();
 /// // Budget for roughly two resident tenants out of 100.
 /// let budget = canonical.per_tenant_bytes() * 2;
-/// let mut pool = SpacePool::lazy(canonical, 100, Some(budget));
+/// let mut pool = SpacePool::new(canonical, 100, Some(budget));
 /// pool.ensure(Did::new(77));
 /// assert!(pool.get(Did::new(77)).lookup(GIova::new(0xbbe0_0042)).is_some());
 /// assert_eq!(pool.stats().builds, 1);
 /// ```
 pub struct SpacePool {
-    variant: Variant,
-}
-
-enum Variant {
-    Dense(Vec<TenantSpace>),
-    Lazy(Box<LazyPool>),
-}
-
-struct LazyPool {
     /// The canonical (DID-0, slab-0) build every space is stamped from.
     canonical: TenantSpace,
-    tenants: u32,
-    resident: FxMap<u32, TenantSpace>,
-    /// Tick of each resident space's most recent touch.
-    last_touch: FxMap<u32, u64>,
-    /// Touch order, oldest first; entries whose tick no longer matches
-    /// `last_touch` are stale and skipped (lazy deletion). Compacted when
-    /// it outgrows the resident set so memory stays bounded.
-    lru: VecDeque<(u64, u32)>,
+    /// Per DID: arena index of its resident space plus one; 0 = not
+    /// resident. Allocated zeroed, so a million-tenant pool costs no
+    /// up-front page touches.
+    slot_of: Vec<u32>,
+    /// The resident arena's LRU list, threaded by index from `head` to
+    /// `tail`; `spaces[i]` is the space of `links[i].did`.
+    links: Vec<Link>,
+    spaces: Vec<TenantSpace>,
+    /// Least recently touched arena entry (the next victim), or `NIL`.
+    head: u32,
+    /// Most recently touched arena entry, or `NIL`.
+    tail: u32,
     /// Current host slab of tenants migrated away from their default
     /// (`slab == did`); consulted when re-stamping after eviction.
     slab_overrides: FxMap<u32, u64>,
     max_resident: usize,
-    tick: u64,
     builds: u64,
     evictions: u64,
 }
 
-impl SpacePool {
-    /// Wraps eagerly built spaces; `spaces[i]` must belong to `Did(i)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spaces are not indexed by DID.
-    pub fn dense(spaces: Vec<TenantSpace>) -> Self {
-        for (i, space) in spaces.iter().enumerate() {
-            assert!(
-                space.did().index() == i,
-                "spaces must be indexed by DID: slot {i} holds {}",
-                space.did()
-            );
-        }
-        SpacePool {
-            variant: Variant::Dense(spaces),
-        }
-    }
+#[derive(Clone, Copy)]
+struct Link {
+    did: u32,
+    prev: u32,
+    next: u32,
+}
 
-    /// Creates a lazy pool over `tenants` tenants stamped on demand from
+impl SpacePool {
+    /// Creates a pool over DIDs `0..tenants` stamped on demand from
     /// `canonical` (a slab-0 build of the shared page inventory).
     ///
     /// `budget_bytes` caps the resident spaces' estimated heap footprint
     /// ([`TenantSpace::per_tenant_bytes`] each); at least one space is
-    /// always allowed. `None` means unbounded residency (lazy build, no
-    /// eviction).
+    /// always allowed. `None` means unbounded residency (no eviction).
     ///
     /// # Panics
     ///
     /// Panics if `tenants` is zero.
-    pub fn lazy(canonical: TenantSpace, tenants: u32, budget_bytes: Option<u64>) -> Self {
+    pub fn new(canonical: TenantSpace, tenants: u32, budget_bytes: Option<u64>) -> Self {
         assert!(tenants > 0, "at least one tenant is required");
         let per_space = canonical.per_tenant_bytes().max(1);
         let max_resident = match budget_bytes {
@@ -123,32 +117,22 @@ impl SpacePool {
             Some(b) => ((b / per_space) as usize).max(1),
         };
         SpacePool {
-            variant: Variant::Lazy(Box::new(LazyPool {
-                canonical,
-                tenants,
-                resident: FxMap::default(),
-                last_touch: FxMap::default(),
-                lru: VecDeque::new(),
-                slab_overrides: FxMap::default(),
-                max_resident,
-                tick: 0,
-                builds: 0,
-                evictions: 0,
-            })),
+            canonical,
+            slot_of: vec![0; tenants as usize],
+            links: Vec::new(),
+            spaces: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            slab_overrides: FxMap::default(),
+            max_resident,
+            builds: 0,
+            evictions: 0,
         }
     }
 
     /// Returns the number of tenants the pool can serve.
     pub fn tenants(&self) -> u32 {
-        match &self.variant {
-            Variant::Dense(spaces) => spaces.len() as u32,
-            Variant::Lazy(pool) => pool.tenants,
-        }
-    }
-
-    /// Returns whether this pool materialises spaces lazily.
-    pub fn is_lazy(&self) -> bool {
-        matches!(self.variant, Variant::Lazy(_))
+        self.slot_of.len() as u32
     }
 
     /// Makes `did`'s space resident (stamping and, if needed, evicting)
@@ -159,292 +143,233 @@ impl SpacePool {
     ///
     /// Panics if `did` is out of range.
     pub fn ensure(&mut self, did: Did) -> bool {
-        let pool = match &mut self.variant {
-            Variant::Dense(spaces) => {
-                assert!(did.index() < spaces.len(), "unknown tenant {did}");
-                return false;
-            }
-            Variant::Lazy(pool) => pool,
-        };
-        assert!(did.raw() < pool.tenants, "unknown tenant {did}");
-        let key = did.raw();
-        pool.tick += 1;
-        let tick = pool.tick;
-        if pool.resident.contains_key(&key) {
-            pool.last_touch.insert(key, tick);
-            pool.push_lru(tick, key);
-            return false;
-        }
-        while pool.resident.len() >= pool.max_resident {
-            match pool.lru.pop_front() {
-                Some((t, d)) if pool.last_touch.get(&d) == Some(&t) => {
-                    pool.resident.remove(&d);
-                    pool.last_touch.remove(&d);
-                    pool.evictions += 1;
+        assert!(did.index() < self.slot_of.len(), "unknown tenant {did}");
+        match self.slot_of[did.index()] {
+            0 => {
+                while self.links.len() >= self.max_resident {
+                    self.evict_lru();
                 }
-                Some(_) => continue, // stale entry, skip
-                None => break,       // resident map and LRU out of sync: bug
+                self.stamp_back(did.raw());
+                self.builds += 1;
+                true
+            }
+            slot => {
+                // Recency only picks eviction victims, so a pool without a
+                // cap leaves its residents in stamp order.
+                let i = slot - 1;
+                if self.max_resident != usize::MAX && i != self.tail {
+                    self.unlink(i);
+                    self.link_back(i);
+                }
+                false
             }
         }
-        let slab = pool.slab_overrides.get(&key).copied().unwrap_or(key as u64);
-        pool.resident.insert(key, pool.canonical.stamp(did, slab));
-        pool.last_touch.insert(key, tick);
-        pool.push_lru(tick, key);
-        pool.builds += 1;
-        true
     }
 
-    /// Returns `did`'s space. Lazy pools require a preceding
-    /// [`SpacePool::ensure`] for the same DID (the translate path always
-    /// pairs them).
+    /// Returns `did`'s space. Requires a preceding [`SpacePool::ensure`]
+    /// for the same DID (the translate path always pairs them).
     ///
     /// # Panics
     ///
-    /// Panics if `did` is out of range, or (lazy) not resident.
+    /// Panics if `did` is out of range or not resident.
     pub fn get(&self, did: Did) -> &TenantSpace {
-        match &self.variant {
-            Variant::Dense(spaces) => &spaces[did.index()],
-            Variant::Lazy(pool) => pool
-                .resident
-                .get(&did.raw())
-                .expect("ensure() must materialise a space before get()"),
+        match self.slot_of[did.index()] {
+            0 => panic!("ensure() must materialise a space before get()"),
+            slot => &self.spaces[slot as usize - 1],
         }
     }
 
     /// Relocates `did`'s host-side memory to slab `slab` (see
-    /// [`TenantSpace::migrate_to_slab`]). For a lazy pool the new slab is
-    /// also recorded so a post-eviction rebuild re-stamps at the tenant's
-    /// *current* home, not its original one.
+    /// [`TenantSpace::migrate_to_slab`]). The new slab is also recorded so
+    /// a post-eviction rebuild re-stamps at the tenant's *current* home,
+    /// not its original one.
     ///
     /// # Panics
     ///
     /// Panics if `did` is out of range.
     pub fn migrate(&mut self, did: Did, slab: u64) {
-        match &mut self.variant {
-            Variant::Dense(spaces) => spaces[did.index()].migrate_to_slab(slab),
-            Variant::Lazy(pool) => {
-                assert!(did.raw() < pool.tenants, "unknown tenant {did}");
-                pool.slab_overrides.insert(did.raw(), slab);
-                if let Some(space) = pool.resident.get_mut(&did.raw()) {
-                    space.migrate_to_slab(slab);
-                }
-            }
+        assert!(did.index() < self.slot_of.len(), "unknown tenant {did}");
+        self.slab_overrides.insert(did.raw(), slab);
+        if let Some(slot) = self.slot_of[did.index()].checked_sub(1) {
+            self.spaces[slot as usize].migrate_to_slab(slab);
         }
     }
 
     /// Returns build/eviction counters.
     pub fn stats(&self) -> PoolStats {
-        match &self.variant {
-            Variant::Dense(spaces) => PoolStats {
-                builds: 0,
-                evictions: 0,
-                resident: spaces.len(),
-                max_resident: usize::MAX,
-            },
-            Variant::Lazy(pool) => PoolStats {
-                builds: pool.builds,
-                evictions: pool.evictions,
-                resident: pool.resident.len(),
-                max_resident: pool.max_resident,
-            },
+        PoolStats {
+            builds: self.builds,
+            evictions: self.evictions,
+            resident: self.links.len(),
+            max_resident: self.max_resident,
         }
     }
 
-    /// The dense pool's DID-indexed spaces.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a lazy pool, whose resident set is not dense.
-    pub fn dense_spaces(&self) -> &[TenantSpace] {
-        match &self.variant {
-            Variant::Dense(spaces) => spaces,
-            Variant::Lazy(_) => panic!("a lazy pool has no dense space slice"),
-        }
+    /// DIDs of currently resident spaces, least recently touched first.
+    pub(crate) fn resident_dids(&self) -> impl Iterator<Item = Did> + '_ {
+        std::iter::successors((self.head != NIL).then_some(self.head), |&i| {
+            let next = self.links[i as usize].next;
+            (next != NIL).then_some(next)
+        })
+        .map(|i| Did::new(self.links[i as usize].did))
     }
 
-    /// DIDs of currently resident spaces, ascending (dense: every tenant).
-    pub fn resident_dids(&self) -> Vec<Did> {
-        match &self.variant {
-            Variant::Dense(spaces) => (0..spaces.len() as u32).map(Did::new).collect(),
-            Variant::Lazy(pool) => {
-                let mut dids: Vec<u32> = pool.resident.keys().copied().collect();
-                dids.sort_unstable();
-                dids.into_iter().map(Did::new).collect()
-            }
-        }
-    }
-
-    /// Halves a lazy pool's residency cap (never below one space) and
-    /// evicts least-recently-touched spaces until the survivors fit —
-    /// the graceful-degradation response to host memory pressure. Safe
+    /// Halves the residency cap (never below one space) and evicts
+    /// least-recently-touched spaces until the survivors fit — the
+    /// graceful-degradation response to host memory pressure. A pool
+    /// without a budget is capped at half its current residency, shedding
+    /// its earliest-stamped spaces, and tracks recency from then on. Safe
     /// because eviction is model-transparent (see the module docs): a
     /// later touch re-stamps a bit-identical space. Returns the number of
-    /// spaces evicted; a dense pool is untouched and returns 0.
+    /// spaces evicted.
     pub fn shrink_residency(&mut self) -> u64 {
-        let pool = match &mut self.variant {
-            Variant::Dense(_) => return 0,
-            Variant::Lazy(pool) => pool,
+        self.max_resident = if self.max_resident == usize::MAX {
+            (self.links.len() / 2).max(1)
+        } else {
+            (self.max_resident / 2).max(1)
         };
-        pool.max_resident = (pool.max_resident / 2).max(1);
-        let before = pool.evictions;
-        while pool.resident.len() > pool.max_resident {
-            match pool.lru.pop_front() {
-                Some((t, d)) if pool.last_touch.get(&d) == Some(&t) => {
-                    pool.resident.remove(&d);
-                    pool.last_touch.remove(&d);
-                    pool.evictions += 1;
-                }
-                Some(_) => continue, // stale entry, skip
-                None => break,       // resident map and LRU out of sync: bug
-            }
+        let before = self.evictions;
+        while self.links.len() > self.max_resident {
+            self.evict_lru();
         }
-        pool.evictions - before
+        self.evictions - before
     }
 
-    /// Appends the pool's mutable state to a checkpoint stream: slab
-    /// placement for a dense pool; residency metadata (recency order,
-    /// slab overrides, counters) for a lazy one. Resident spaces are
-    /// *not* serialised — stamping is deterministic, so restore rebuilds
-    /// them bit-identically from the canonical build.
+    /// Appends the pool's mutable state to a checkpoint stream: tenant
+    /// count, residency cap, counters, slab overrides (ascending DID), and
+    /// the resident DIDs in LRU order, least recently touched first.
+    /// Resident spaces are *not* serialised — stamping is deterministic,
+    /// so restore rebuilds them bit-identically from the canonical build.
     pub fn snapshot_words(&self, out: &mut Vec<u64>) {
-        match &self.variant {
-            Variant::Dense(spaces) => {
-                out.push(0);
-                out.push(spaces.len() as u64);
-                let moved: Vec<(u64, u64)> = spaces
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, s)| s.host_slab() != *i as u64)
-                    .map(|(i, s)| (i as u64, s.host_slab()))
-                    .collect();
-                out.push(moved.len() as u64);
-                for (did, slab) in moved {
-                    out.push(did);
-                    out.push(slab);
-                }
-            }
-            Variant::Lazy(pool) => {
-                out.push(1);
-                out.push(pool.tenants as u64);
-                out.push(pool.max_resident as u64);
-                out.push(pool.tick);
-                out.push(pool.builds);
-                out.push(pool.evictions);
-                let mut overrides: Vec<(u32, u64)> =
-                    pool.slab_overrides.iter().map(|(&d, &s)| (d, s)).collect();
-                overrides.sort_unstable();
-                out.push(overrides.len() as u64);
-                for (did, slab) in overrides {
-                    out.push(did as u64);
-                    out.push(slab);
-                }
-                let mut resident: Vec<(u32, u64)> =
-                    pool.last_touch.iter().map(|(&d, &t)| (d, t)).collect();
-                resident.sort_unstable();
-                out.push(resident.len() as u64);
-                for (did, touched) in resident {
-                    out.push(did as u64);
-                    out.push(touched);
-                }
-                out.push(pool.lru.len() as u64);
-                for &(tick, did) in pool.lru.iter() {
-                    out.push(tick);
-                    out.push(did as u64);
-                }
-            }
+        out.push(self.tenants() as u64);
+        out.push(self.max_resident as u64);
+        out.push(self.builds);
+        out.push(self.evictions);
+        let mut overrides: Vec<(u32, u64)> =
+            self.slab_overrides.iter().map(|(&d, &s)| (d, s)).collect();
+        overrides.sort_unstable();
+        out.push(overrides.len() as u64);
+        for (did, slab) in overrides {
+            out.push(did as u64);
+            out.push(slab);
         }
+        out.push(self.links.len() as u64);
+        out.extend(self.resident_dids().map(|did| did.raw() as u64));
     }
 
-    /// Restores state captured by [`Self::snapshot_words`] into a freshly
-    /// constructed pool of the same shape (variant, tenant count, dense
-    /// spaces at their default slabs). Lazy residents are re-stamped from
-    /// the canonical build at their recorded slabs. Returns `None` on a
-    /// corrupt stream or a shape mismatch.
+    /// Restores state captured by [`Self::snapshot_words`] into a pool
+    /// over the same tenant count: residents are re-stamped from the
+    /// canonical build at their recorded slabs and relinked in the
+    /// recorded recency order. Returns `None` on a corrupt stream, a
+    /// tenant-count mismatch, a duplicate or out-of-range DID, or more
+    /// residents than the recorded cap.
     pub fn restore_words(&mut self, r: &mut hypersio_cache::WordReader<'_>) -> Option<()> {
-        match (r.next()?, &mut self.variant) {
-            (0, Variant::Dense(spaces)) => {
-                if r.next()? != spaces.len() as u64 {
-                    return None;
-                }
-                let moved = r.len_capped(spaces.len())?;
-                for _ in 0..moved {
-                    let did = usize::try_from(r.next()?).ok()?;
-                    let slab = r.next()?;
-                    spaces.get_mut(did)?.migrate_to_slab(slab);
-                }
-                Some(())
+        if r.next()? != self.tenants() as u64 {
+            return None;
+        }
+        let max_resident = usize::try_from(r.next()?).ok()?;
+        if max_resident == 0 {
+            return None;
+        }
+        self.max_resident = max_resident;
+        self.builds = r.next()?;
+        self.evictions = r.next()?;
+        self.slab_overrides.clear();
+        for _ in 0..r.len_capped(r.remaining() / 2)? {
+            let did = self.checked_did(r.next()?)?;
+            let slab = r.next()?;
+            self.slab_overrides.insert(did, slab);
+        }
+        for link in self.links.drain(..) {
+            self.slot_of[link.did as usize] = 0;
+        }
+        self.spaces.clear();
+        (self.head, self.tail) = (NIL, NIL);
+        let resident = r.len_capped(r.remaining().min(max_resident))?;
+        for _ in 0..resident {
+            let did = self.checked_did(r.next()?)?;
+            if self.slot_of[did as usize] != 0 {
+                return None;
             }
-            (1, Variant::Lazy(pool)) => {
-                if r.next()? != pool.tenants as u64 {
-                    return None;
-                }
-                pool.max_resident = usize::try_from(r.next()?).ok()?;
-                if pool.max_resident == 0 {
-                    return None;
-                }
-                pool.tick = r.next()?;
-                pool.builds = r.next()?;
-                pool.evictions = r.next()?;
-                pool.slab_overrides.clear();
-                let overrides = r.len_capped(r.remaining() / 2)?;
-                for _ in 0..overrides {
-                    let did = u32::try_from(r.next()?).ok()?;
-                    if did >= pool.tenants {
-                        return None;
-                    }
-                    let slab = r.next()?;
-                    pool.slab_overrides.insert(did, slab);
-                }
-                pool.resident.clear();
-                pool.last_touch.clear();
-                let resident = r.len_capped(r.remaining() / 2)?;
-                if resident > pool.max_resident {
-                    return None;
-                }
-                for _ in 0..resident {
-                    let did = u32::try_from(r.next()?).ok()?;
-                    if did >= pool.tenants {
-                        return None;
-                    }
-                    let touched = r.next()?;
-                    let slab = pool.slab_overrides.get(&did).copied().unwrap_or(did as u64);
-                    let space = pool.canonical.stamp(Did::new(did), slab);
-                    pool.resident.insert(did, space);
-                    pool.last_touch.insert(did, touched);
-                }
-                pool.lru.clear();
-                let lru = r.len_capped(r.remaining() / 2)?;
-                for _ in 0..lru {
-                    let tick = r.next()?;
-                    let did = u32::try_from(r.next()?).ok()?;
-                    pool.lru.push_back((tick, did));
-                }
-                Some(())
+            self.stamp_back(did);
+        }
+        Some(())
+    }
+
+    /// `raw` as an in-range DID.
+    fn checked_did(&self, raw: u64) -> Option<u32> {
+        u32::try_from(raw)
+            .ok()
+            .filter(|&did| (did as usize) < self.slot_of.len())
+    }
+
+    /// Stamps `did`'s space at its current slab and links it as the most
+    /// recently touched resident.
+    fn stamp_back(&mut self, did: u32) {
+        let slab = self.slab_overrides.get(&did).copied().unwrap_or(did as u64);
+        let i = self.links.len() as u32;
+        self.links.push(Link {
+            did,
+            prev: NIL,
+            next: NIL,
+        });
+        self.spaces.push(self.canonical.stamp(Did::new(did), slab));
+        self.slot_of[did as usize] = i + 1;
+        self.link_back(i);
+    }
+
+    /// Evicts the least recently touched resident, dropping its space.
+    /// The arena's last entry moves into the freed index, so the arena
+    /// stays dense.
+    fn evict_lru(&mut self) {
+        let i = self.head;
+        self.unlink(i);
+        let gone = self.links.swap_remove(i as usize);
+        self.spaces.swap_remove(i as usize);
+        self.slot_of[gone.did as usize] = 0;
+        if let Some(&Link { did, prev, next }) = self.links.get(i as usize) {
+            self.slot_of[did as usize] = i + 1;
+            match prev {
+                NIL => self.head = i,
+                p => self.links[p as usize].next = i,
             }
-            _ => None,
+            match next {
+                NIL => self.tail = i,
+                n => self.links[n as usize].prev = i,
+            }
+        }
+        self.evictions += 1;
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let Link { prev, next, .. } = self.links[i as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.links[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.links[n as usize].prev = prev,
         }
     }
-}
 
-impl LazyPool {
-    fn push_lru(&mut self, tick: u64, did: u32) {
-        self.lru.push_back((tick, did));
-        // Lazy deletion leaves stale entries behind; compact once they
-        // dominate so the queue stays O(resident).
-        if self.lru.len() > 2 * self.resident.len().max(32) {
-            let last = &self.last_touch;
-            self.lru.retain(|&(t, d)| last.get(&d) == Some(&t));
+    fn link_back(&mut self, i: u32) {
+        let link = &mut self.links[i as usize];
+        link.prev = self.tail;
+        link.next = NIL;
+        match self.tail {
+            NIL => self.head = i,
+            t => self.links[t as usize].next = i,
         }
+        self.tail = i;
     }
 }
 
 impl std::fmt::Debug for SpacePool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
         f.debug_struct("SpacePool")
-            .field("lazy", &self.is_lazy())
             .field("tenants", &self.tenants())
-            .field("stats", &stats)
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -454,33 +379,34 @@ mod tests {
     use super::*;
     use hypersio_types::{GIova, PageSize};
 
-    fn canonical() -> TenantSpace {
-        let mut b = TenantSpace::builder(Did::new(0));
+    fn builder(did: u32) -> crate::TenantSpaceBuilder {
+        let mut b = TenantSpace::builder(Did::new(did));
         b.map(GIova::new(0x3480_0000), PageSize::Size4K);
         b.map(GIova::new(0xbbe0_0000), PageSize::Size2M);
-        b.build()
+        b
+    }
+
+    fn canonical() -> TenantSpace {
+        builder(0).build()
     }
 
     fn budget_for(spaces: usize) -> Option<u64> {
         Some(canonical().per_tenant_bytes() * spaces as u64)
     }
 
+    fn resident(pool: &SpacePool) -> Vec<u32> {
+        pool.resident_dids().map(Did::raw).collect()
+    }
+
     #[test]
-    fn lazy_pool_matches_dense_translations() {
-        let dids: Vec<Did> = (0..8).map(Did::new).collect();
-        let dense = SpacePool::dense(
-            TenantSpace::builder(Did::new(0))
-                .map(GIova::new(0x3480_0000), PageSize::Size4K)
-                .map(GIova::new(0xbbe0_0000), PageSize::Size2M)
-                .build_many(&dids),
-        );
-        let mut lazy = SpacePool::lazy(canonical(), 8, budget_for(2));
-        for &did in &dids {
-            lazy.ensure(did);
+    fn stamped_spaces_match_per_did_builds() {
+        let mut pool = SpacePool::new(canonical(), 8, budget_for(2));
+        for did in (0..8).map(Did::new) {
+            pool.ensure(did);
             let iova = GIova::new(0xbbe0_0042);
             assert_eq!(
-                lazy.get(did).lookup(iova).unwrap(),
-                dense.get(did).lookup(iova).unwrap(),
+                pool.get(did).lookup(iova).unwrap(),
+                builder(did.raw()).build().lookup(iova).unwrap(),
                 "{did}"
             );
         }
@@ -488,7 +414,7 @@ mod tests {
 
     #[test]
     fn budget_caps_residency_and_evicts_lru() {
-        let mut pool = SpacePool::lazy(canonical(), 100, budget_for(2));
+        let mut pool = SpacePool::new(canonical(), 100, budget_for(2));
         assert!(pool.ensure(Did::new(0)));
         assert!(pool.ensure(Did::new(1)));
         // Touch 0 so 1 becomes the LRU victim.
@@ -505,7 +431,7 @@ mod tests {
 
     #[test]
     fn rebuild_after_eviction_is_bit_identical() {
-        let mut pool = SpacePool::lazy(canonical(), 100, budget_for(1));
+        let mut pool = SpacePool::new(canonical(), 100, budget_for(1));
         pool.ensure(Did::new(7));
         let before = pool
             .get(Did::new(7))
@@ -525,7 +451,7 @@ mod tests {
 
     #[test]
     fn migration_survives_eviction() {
-        let mut pool = SpacePool::lazy(canonical(), 100, budget_for(1));
+        let mut pool = SpacePool::new(canonical(), 100, budget_for(1));
         pool.ensure(Did::new(3));
         pool.migrate(Did::new(3), 55);
         let after_migrate = pool
@@ -545,15 +471,15 @@ mod tests {
 
     #[test]
     fn migrating_a_nonresident_tenant_records_the_override() {
-        let mut pool = SpacePool::lazy(canonical(), 100, budget_for(4));
+        let mut pool = SpacePool::new(canonical(), 100, budget_for(4));
         pool.migrate(Did::new(9), 70);
         pool.ensure(Did::new(9));
         assert_eq!(pool.get(Did::new(9)).host_slab(), 70);
     }
 
     #[test]
-    fn unbounded_lazy_pool_never_evicts() {
-        let mut pool = SpacePool::lazy(canonical(), 1000, None);
+    fn unbounded_pool_never_evicts() {
+        let mut pool = SpacePool::new(canonical(), 1000, None);
         for i in 0..200 {
             pool.ensure(Did::new(i));
         }
@@ -563,70 +489,138 @@ mod tests {
     }
 
     #[test]
-    fn lru_queue_stays_bounded_under_retouch() {
-        let mut pool = SpacePool::lazy(canonical(), 10, budget_for(4));
-        for round in 0..10_000u32 {
-            pool.ensure(Did::new(round % 4));
+    fn linked_lru_matches_a_reference_recency_list() {
+        // A deterministic pseudo-random touch sequence over 12 tenants
+        // with room for 5: the index-linked list (with its swap-remove
+        // fix-ups) must track a plain recency vector exactly.
+        let mut pool = SpacePool::new(canonical(), 12, budget_for(5));
+        let mut reference: Vec<u32> = Vec::new();
+        let mut evictions = 0;
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let did = (x % 12) as u32;
+            let built = pool.ensure(Did::new(did));
+            match reference.iter().position(|&d| d == did) {
+                Some(at) => {
+                    assert!(!built);
+                    reference.remove(at);
+                }
+                None => {
+                    assert!(built);
+                    if reference.len() == 5 {
+                        reference.remove(0);
+                        evictions += 1;
+                    }
+                }
+            }
+            reference.push(did);
+            assert_eq!(resident(&pool), reference);
+            assert_eq!(pool.get(Did::new(did)).did(), Did::new(did));
         }
-        if let Variant::Lazy(inner) = &pool.variant {
-            assert!(
-                inner.lru.len() <= 2 * inner.resident.len().max(32) + 1,
-                "lru queue grew to {}",
-                inner.lru.len()
-            );
-        } else {
-            unreachable!();
+        assert_eq!(pool.stats().evictions, evictions);
+        assert_eq!(pool.spaces.len(), reference.len());
+    }
+
+    #[test]
+    fn shrinking_drops_the_oldest_spaces() {
+        let mut pool = SpacePool::new(canonical(), 16, None);
+        for i in 0..8 {
+            pool.ensure(Did::new(i));
+        }
+        // Without a cap a touch keeps stamp order, and the first shrink
+        // caps the pool at half its residency.
+        pool.ensure(Did::new(0));
+        assert_eq!(pool.shrink_residency(), 4);
+        assert_eq!(resident(&pool), [4, 5, 6, 7]);
+        assert_eq!(pool.spaces.len(), 4, "evicted spaces are dropped");
+        // Capped, the pool tracks recency.
+        pool.ensure(Did::new(4));
+        assert_eq!(pool.shrink_residency(), 2);
+        assert_eq!(resident(&pool), [7, 4]);
+        assert_eq!(pool.stats().max_resident, 2);
+    }
+
+    #[test]
+    fn snapshot_restores_recency_order() {
+        let mut src = SpacePool::new(canonical(), 10, budget_for(3));
+        for did in [4, 1, 9, 4, 2] {
+            src.ensure(Did::new(did));
+        }
+        src.migrate(Did::new(9), 33);
+        let mut words = Vec::new();
+        src.snapshot_words(&mut words);
+        let mut dst = SpacePool::new(canonical(), 10, budget_for(3));
+        dst.ensure(Did::new(7)); // stale residency the restore must drop
+        let mut r = hypersio_cache::WordReader::new(&words);
+        dst.restore_words(&mut r).expect("round trip");
+        assert!(r.is_empty());
+        assert_eq!(resident(&dst), [9, 4, 2]);
+        assert_eq!(dst.stats(), src.stats());
+        assert_eq!(dst.get(Did::new(9)).host_slab(), 33);
+        // The next victim is the same on both sides.
+        src.ensure(Did::new(5));
+        dst.ensure(Did::new(5));
+        assert_eq!(resident(&dst), resident(&src));
+    }
+
+    #[test]
+    fn restore_rejects_duplicate_and_out_of_range_residents() {
+        let mut src = SpacePool::new(canonical(), 10, budget_for(3));
+        src.ensure(Did::new(1));
+        src.ensure(Did::new(2));
+        let mut words = Vec::new();
+        src.snapshot_words(&mut words);
+        let n = words.len();
+        for (bad, why) in [
+            (1, "duplicate"),
+            (10, "out of range"),
+            (u64::MAX, "too wide"),
+        ] {
+            let mut corrupt = words.clone();
+            corrupt[n - 1] = bad;
+            let mut dst = SpacePool::new(canonical(), 10, budget_for(3));
+            let mut r = hypersio_cache::WordReader::new(&corrupt);
+            assert!(dst.restore_words(&mut r).is_none(), "{why}");
         }
     }
 
     #[test]
-    fn lazy_matches_eager_under_sv39x4() {
+    fn pool_matches_per_did_builds_under_sv39x4() {
         use crate::WalkGeometry;
-        // Satellite check: lazy stamping must be identity-preserving for
-        // the widened-root geometry too, at both thrash scales.
+        // Stamping must be identity-preserving for the widened-root
+        // geometry too, at both thrash scales.
+        let sv39 = |did: u32| {
+            let mut b = builder(did);
+            b.geometry(WalkGeometry::RiscvSv39x4);
+            b.build()
+        };
         for tenants in [128u32, 1024] {
-            let dids: Vec<Did> = (0..tenants).map(Did::new).collect();
-            let mut b = TenantSpace::builder(Did::new(0));
-            b.geometry(WalkGeometry::RiscvSv39x4)
-                .map(GIova::new(0x3480_0000), PageSize::Size4K)
-                .map(GIova::new(0xbbe0_0000), PageSize::Size2M);
-            let eager = SpacePool::dense(b.build_many(&dids));
-            let canonical = {
-                let mut b = TenantSpace::builder(Did::new(0));
-                b.geometry(WalkGeometry::RiscvSv39x4)
-                    .map(GIova::new(0x3480_0000), PageSize::Size4K)
-                    .map(GIova::new(0xbbe0_0000), PageSize::Size2M);
-                b.build()
-            };
+            let canonical = sv39(0);
             let budget = Some(canonical.per_tenant_bytes() * 3);
-            let mut lazy = SpacePool::lazy(canonical, tenants, budget);
-            for &did in &dids {
-                lazy.ensure(did);
+            let mut pool = SpacePool::new(canonical, tenants, budget);
+            for did in (0..tenants).map(Did::new) {
+                pool.ensure(did);
+                let reference = sv39(did.raw());
                 for iova in [GIova::new(0x3480_0123), GIova::new(0xbbe4_5678)] {
                     assert_eq!(
-                        lazy.get(did).lookup(iova).unwrap(),
-                        eager.get(did).lookup(iova).unwrap(),
+                        pool.get(did).lookup(iova).unwrap(),
+                        reference.lookup(iova).unwrap(),
                         "{did} {tenants} tenants"
                     );
                 }
-                assert_eq!(lazy.get(did).geometry(), WalkGeometry::RiscvSv39x4);
+                assert_eq!(pool.get(did).geometry(), WalkGeometry::RiscvSv39x4);
             }
-            assert!(lazy.stats().evictions > 0, "budget should force evictions");
+            assert!(pool.stats().evictions > 0, "budget should force evictions");
         }
     }
 
     #[test]
     #[should_panic(expected = "unknown tenant")]
     fn out_of_range_did_rejected() {
-        let mut pool = SpacePool::lazy(canonical(), 4, None);
+        let mut pool = SpacePool::new(canonical(), 4, None);
         pool.ensure(Did::new(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "indexed by DID")]
-    fn dense_pool_requires_did_indexing() {
-        let mut b = TenantSpace::builder(Did::new(3));
-        b.map(GIova::new(0x3480_0000), PageSize::Size4K);
-        let _ = SpacePool::dense(vec![b.build()]);
     }
 }

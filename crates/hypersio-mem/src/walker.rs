@@ -114,9 +114,9 @@ fn host_walk_reads(space: &TenantSpace) -> u64 {
 ///
 /// Entries are keyed by [`TenantSpace::layout_id`] *and* the layout's
 /// [`crate::WalkGeometry`] discriminant, and stored in *canonical*
-/// coordinates: all tenants stamped from one
-/// [`crate::TenantSpaceBuilder::build_many`] call share bit-identical guest
-/// tables and affine host tables, so a single memo entry serves every
+/// coordinates: all tenants stamped from one canonical build
+/// ([`TenantSpace::stamp`]) share bit-identical guest tables and affine
+/// host tables, so a single memo entry serves every
 /// sibling (the caller's [`TenantSpace::host_delta`] is applied on the way
 /// out). This keeps the memo a few thousand entries at any tenant count —
 /// cache-resident — instead of growing per tenant. It also makes slab
@@ -642,13 +642,14 @@ mod tests {
     }
 
     #[test]
-    fn memo_is_shared_across_build_many_siblings() {
-        // Two tenants stamped from one build_many call share layout
+    fn memo_is_shared_across_stamped_siblings() {
+        // Two tenants stamped from one canonical build share layout
         // entries: walking the same iova in tenant 1 after tenant 0 adds
         // nothing to the memo, and each tenant still gets its own hPA.
         let mut b = TenantSpace::builder(Did::new(0));
         b.map(GIova::new(0x3480_0000), PageSize::Size4K);
-        let spaces = b.build_many(&[Did::new(0), Did::new(1)]);
+        let canonical = b.build();
+        let spaces = [0, 1].map(|did| canonical.stamp(Did::new(did), did as u64));
         let mut c = caches();
         let mut memo = WalkMemo::new();
         let iova = GIova::new(0x3480_0000);

@@ -6,7 +6,9 @@
 
 use std::collections::BTreeSet;
 
-use hypersio_mem::{Iommu, IommuParams, TenantSpace, TwoDimWalker, WalkCacheConfig, WalkCaches};
+use hypersio_mem::{
+    Iommu, IommuParams, SpacePool, TenantSpace, TwoDimWalker, WalkCacheConfig, WalkCaches,
+};
 use hypersio_types::{Did, GIova, GPa, PageSize, Sid, SplitMix64};
 
 const CASES: usize = 48;
@@ -140,13 +142,15 @@ fn iommu_translation_matches_functional_lookup() {
         let picks: Vec<(usize, u64)> = (0..rng.range_inclusive(1, 23))
             .map(|_| (rng.index(16), rng.below(0x1000)))
             .collect();
+        // Per-DID builds are the reference the pool's stamps must match.
         let spaces: Vec<TenantSpace> = (0..2).map(|d| build_space(d, &pages)).collect();
-        let mut iommu = Iommu::new(IommuParams::paper(), spaces);
+        let pool = SpacePool::new(build_space(0, &pages), 2, None);
+        let mut iommu = Iommu::new(IommuParams::paper(), pool);
         for (i, &(pick, offset)) in picks.iter().enumerate() {
             let (base, size) = pages[pick % pages.len()];
             let did = Did::new((i % 2) as u32);
             let iova = GIova::new(base + offset % size.bytes());
-            let want = iommu.spaces()[did.index()].lookup(iova).unwrap().0;
+            let want = spaces[did.index()].lookup(iova).unwrap().0;
             let resp = iommu
                 .translate(Sid::new(did.raw()), did, iova, i as u64)
                 .unwrap();

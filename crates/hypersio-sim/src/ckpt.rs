@@ -1,10 +1,10 @@
-//! The `hypersio-checkpoint/v1` on-disk run-checkpoint format.
+//! The `hypersio-checkpoint/v2` on-disk run-checkpoint format.
 //!
 //! A checkpoint is one textual JSON header line followed by a binary
 //! little-endian `u64`-word body:
 //!
 //! ```text
-//! {"schema":"hypersio-checkpoint/v1","config":"HyperTRIO","tenants":128,
+//! {"schema":"hypersio-checkpoint/v2","config":"HyperTRIO","tenants":128,
 //!  "fingerprint":"0x...","words":N,"crc":"0x..."}\n
 //! <N words x 8 bytes, little-endian>
 //! ```
@@ -18,15 +18,21 @@
 //! over the body bytes, and the word-level decoder's own shape validation.
 //! Corrupt input can produce an error but never a panic and never a
 //! silently wrong resume.
+//!
+//! Checkpoints are same-build resume files, so only the current schema is
+//! read: v2 changed the page-table pool section (residents in recency
+//! order, no touch ticks), and a v1 file is refused as a header error.
 
 use std::fmt;
 
 use hypersio_cache::WordReader;
 
+use crate::faults::plan_json::{self, Val};
 use crate::model::Simulation;
+use crate::report::escape;
 
 /// Schema tag of the checkpoint header line.
-pub const CHECKPOINT_SCHEMA: &str = "hypersio-checkpoint/v1";
+pub const CHECKPOINT_SCHEMA: &str = "hypersio-checkpoint/v2";
 
 /// Why a checkpoint file could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,71 +102,34 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Escapes a string for embedding in the header's flat JSON (config names
-/// are plain ASCII in practice; this keeps pathological names readable
-/// rather than corrupting the header).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' | '\\' => {
-                out.push('\\');
-                out.push(c);
-            }
-            '\n' | '\r' => out.push(' '),
-            c => out.push(c),
-        }
+/// The header field `key`, or a [`CheckpointError::Header`] naming it.
+fn field<'a>(header: &'a Val, key: &str) -> Result<&'a Val, CheckpointError> {
+    header
+        .get(key)
+        .ok_or_else(|| CheckpointError::Header(format!("missing field {key:?}")))
+}
+
+/// A string header field.
+fn str_field<'a>(header: &'a Val, key: &str) -> Result<&'a str, CheckpointError> {
+    match field(header, key)? {
+        Val::Str(s) => Ok(s),
+        _ => Err(CheckpointError::Header(format!(
+            "field {key:?} is not a string"
+        ))),
     }
-    out
 }
 
-/// Extracts the raw token after `"key":` in the (single-line, flat,
-/// machine-written) header, stopping at the next `,` or `}`. String
-/// values keep their surrounding quotes.
-fn raw_field<'a>(header: &'a str, key: &str) -> Result<&'a str, CheckpointError> {
-    let pat = format!("\"{key}\":");
-    let start = header
-        .find(&pat)
-        .ok_or_else(|| CheckpointError::Header(format!("missing field {key:?}")))?
-        + pat.len();
-    let rest = &header[start..];
-    let end = if let Some(quoted) = rest.strip_prefix('"') {
-        // A quoted string: scan to the closing quote (the writer never
-        // emits an escaped quote without a backslash; reject if unclosed).
-        let close = quoted
-            .find('"')
-            .ok_or_else(|| CheckpointError::Header(format!("unterminated string for {key:?}")))?;
-        close + 2
-    } else {
-        rest.find([',', '}'])
-            .ok_or_else(|| CheckpointError::Header(format!("unterminated value for {key:?}")))?
-    };
-    Ok(&rest[..end])
-}
-
-/// A quoted-string header field, unquoted.
-fn str_field<'a>(header: &'a str, key: &str) -> Result<&'a str, CheckpointError> {
-    let raw = raw_field(header, key)?;
-    raw.strip_prefix('"')
-        .and_then(|r| r.strip_suffix('"'))
-        .ok_or_else(|| CheckpointError::Header(format!("field {key:?} is not a string")))
-}
-
-/// A decimal integer header field.
-fn u64_field(header: &str, key: &str) -> Result<u64, CheckpointError> {
-    raw_field(header, key)?
-        .parse()
-        .map_err(|_| CheckpointError::Header(format!("field {key:?} is not an integer")))
+/// A non-negative integer header field.
+fn u64_field(header: &Val, key: &str) -> Result<u64, CheckpointError> {
+    plan_json::u64_field(field(header, key)?, key).map_err(CheckpointError::Header)
 }
 
 /// A `"0x..."` hexadecimal header field.
-fn hex_field(header: &str, key: &str) -> Result<u64, CheckpointError> {
-    let s = str_field(header, key)?;
-    let digits = s
+fn hex_field(header: &Val, key: &str) -> Result<u64, CheckpointError> {
+    str_field(header, key)?
         .strip_prefix("0x")
-        .ok_or_else(|| CheckpointError::Header(format!("field {key:?} is not 0x-hex")))?;
-    u64::from_str_radix(digits, 16)
-        .map_err(|_| CheckpointError::Header(format!("field {key:?} is not 0x-hex")))
+        .and_then(|digits| u64::from_str_radix(digits, 16).ok())
+        .ok_or_else(|| CheckpointError::Header(format!("field {key:?} is not 0x-hex")))
 }
 
 impl Simulation {
@@ -182,7 +151,7 @@ impl Simulation {
         fnv1a64(identity.as_bytes())
     }
 
-    /// Encodes this run's full mutable state as a `hypersio-checkpoint/v1`
+    /// Encodes this run's full mutable state as a `hypersio-checkpoint/v2`
     /// file image. Only meaningful at a batch-frame boundary — which is
     /// the only place [`Simulation::run_controlled`] calls it.
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
@@ -228,21 +197,22 @@ impl Simulation {
             .ok_or_else(|| CheckpointError::Header("no header line".into()))?;
         let header = std::str::from_utf8(&bytes[..newline])
             .map_err(|_| CheckpointError::Header("header is not UTF-8".into()))?;
-        let schema = str_field(header, "schema")?;
+        let doc = plan_json::parse(header).map_err(CheckpointError::Header)?;
+        let schema = str_field(&doc, "schema")?;
         if schema != CHECKPOINT_SCHEMA {
             return Err(CheckpointError::Header(format!(
                 "unknown schema {schema:?} (expected {CHECKPOINT_SCHEMA:?})"
             )));
         }
-        let config = str_field(header, "config")?;
-        if config != escape(&self.config().name) {
+        let config = str_field(&doc, "config")?;
+        if config != self.config().name {
             return Err(CheckpointError::RunMismatch(format!(
                 "config {:?} vs this run's {:?}",
                 config,
                 self.config().name
             )));
         }
-        let tenants = u64_field(header, "tenants")?;
+        let tenants = u64_field(&doc, "tenants")?;
         if tenants != self.trace().tenants() as u64 {
             return Err(CheckpointError::RunMismatch(format!(
                 "{} tenants vs this run's {}",
@@ -250,7 +220,7 @@ impl Simulation {
                 self.trace().tenants()
             )));
         }
-        let fingerprint = hex_field(header, "fingerprint")?;
+        let fingerprint = hex_field(&doc, "fingerprint")?;
         if fingerprint != self.fingerprint() {
             return Err(CheckpointError::RunMismatch(
                 "parameter fingerprint differs (different seed, latencies, \
@@ -258,8 +228,8 @@ impl Simulation {
                     .into(),
             ));
         }
-        let expected_words = u64_field(header, "words")?;
-        let crc = hex_field(header, "crc")?;
+        let expected_words = u64_field(&doc, "words")?;
+        let crc = hex_field(&doc, "crc")?;
 
         let body = &bytes[newline + 1..];
         let actual_words = (body.len() / 8) as u64;
@@ -388,6 +358,39 @@ mod tests {
             sim(2, 0).resume_from_bytes(plan),
             Err(CheckpointError::Header(_))
         ));
+    }
+
+    #[test]
+    fn a_v1_checkpoint_is_a_header_error() {
+        let bytes = sim(8, 3).checkpoint_bytes();
+        let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
+        let header = std::str::from_utf8(&bytes[..newline]).unwrap();
+        let mut v1 = header
+            .replace(CHECKPOINT_SCHEMA, "hypersio-checkpoint/v1")
+            .into_bytes();
+        v1.extend_from_slice(&bytes[newline..]);
+        assert!(matches!(
+            sim(8, 3).resume_from_bytes(&v1),
+            Err(CheckpointError::Header(msg)) if msg.contains("hypersio-checkpoint/v1")
+        ));
+    }
+
+    #[test]
+    fn config_names_needing_json_escapes_round_trip() {
+        for name in ["a\"b", "back\\slash", "tab\tnew\nline\u{1}"] {
+            let named = |seed| {
+                let trace = HyperTraceBuilder::new(WorkloadKind::Iperf3, 8)
+                    .scale(2000)
+                    .seed(seed)
+                    .build();
+                let config = TranslationConfig::hypertrio().with_name(name);
+                Simulation::new(config, SimParams::paper(), trace)
+            };
+            let bytes = named(3).checkpoint_bytes();
+            let mut back = named(3);
+            assert_eq!(back.resume_from_bytes(&bytes), Ok(()), "{name:?}");
+            assert_eq!(back.run(), named(3).run(), "{name:?}");
+        }
     }
 
     #[test]

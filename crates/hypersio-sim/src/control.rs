@@ -28,7 +28,7 @@ pub struct RunControl<'a> {
     /// are anchored at simulated time zero, so a resumed run checkpoints
     /// at the same boundaries as the original.
     pub checkpoint_every: Option<SimDuration>,
-    /// Receives each periodic checkpoint (`hypersio-checkpoint/v1` bytes).
+    /// Receives each periodic checkpoint (`hypersio-checkpoint/v2` bytes).
     /// The sink must not panic; persisting to disk should write to a
     /// temporary file and rename, so an interrupt mid-write never corrupts
     /// the previous checkpoint.
@@ -69,7 +69,7 @@ pub enum RunOutcome {
     /// boundary where it stopped. Resuming from this checkpoint replays
     /// the rest of the run bit-identically.
     Interrupted {
-        /// Encoded `hypersio-checkpoint/v1` bytes.
+        /// Encoded `hypersio-checkpoint/v2` bytes.
         checkpoint: Vec<u8>,
     },
 }

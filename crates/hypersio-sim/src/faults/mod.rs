@@ -25,7 +25,7 @@
 //! With [`FaultPlan::none`] the injector is not even constructed and the
 //! simulation is byte-identical to a run without this module.
 
-mod plan_json;
+pub(crate) mod plan_json;
 
 use std::collections::HashMap;
 

@@ -25,8 +25,9 @@ use hypersio_types::{Did, SimDuration, SimTime};
 
 use super::{BackoffPolicy, ChurnEvent, FaultPlan, StormEvent};
 
-/// A parsed JSON value (only what the plan format needs).
-enum Val {
+/// A parsed JSON value (only what the plan format and the checkpoint
+/// header need).
+pub(crate) enum Val {
     Num(f64),
     Str(String),
     Bool(bool),
@@ -36,7 +37,7 @@ enum Val {
 }
 
 impl Val {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Val> {
+    pub(crate) fn get<'a>(&'a self, key: &str) -> Option<&'a Val> {
         match self {
             Val::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -131,6 +132,18 @@ impl<'a> Parser<'a> {
                         Some(b'n') => out.push('\n'),
                         Some(b't') => out.push('\t'),
                         Some(b'r') => out.push('\r'),
+                        Some(b'u') => {
+                            let code = self
+                                .bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                                .and_then(|hex| std::str::from_utf8(hex).ok())
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or_else(|| self.err("unsupported \\u escape"))?;
+                            out.push(code);
+                            self.pos += 4;
+                        }
                         _ => return Err(self.err("unsupported string escape")),
                     }
                     self.pos += 1;
@@ -218,7 +231,9 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn parse(text: &str) -> Result<Val, String> {
+/// Parses one JSON document, with a positional message on malformed
+/// input.
+pub(crate) fn parse(text: &str) -> Result<Val, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
@@ -240,7 +255,7 @@ fn num(val: &Val, context: &str) -> Result<f64, String> {
     }
 }
 
-fn u64_field(val: &Val, context: &str) -> Result<u64, String> {
+pub(crate) fn u64_field(val: &Val, context: &str) -> Result<u64, String> {
     let n = num(val, context)?;
     if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
         return Err(format!(
@@ -492,5 +507,11 @@ mod tests {
         assert!(!err.is_empty());
         let err = FaultPlan::from_json("{\"schema\": \"plan-\u{00e9}\"}").unwrap_err();
         assert!(err.contains("plan-\u{00e9}"), "{err}");
+        let plan = FaultPlan::from_json(r#"{"schema": "fault_plan\u002fv1"}"#);
+        assert_eq!(plan, Ok(FaultPlan::none()), "\\u escapes decode");
+        for bad in [r#""\u00"}"#, r#""\u+02f"}"#, r#""\ud800"}"#] {
+            let err = FaultPlan::from_json(&format!(r#"{{"schema": {bad}"#)).unwrap_err();
+            assert!(err.contains("\\u escape"), "{bad}: {err}");
+        }
     }
 }

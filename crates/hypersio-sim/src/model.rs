@@ -90,16 +90,16 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Builds a simulation, constructing per-tenant page tables from the
-    /// trace's page inventory.
+    /// Builds a simulation over the trace's page inventory.
     ///
-    /// Page tables are materialised eagerly (one [`TenantSpace`] per DID at
-    /// construction) when the trace covers the contiguous DID range `0..N`
-    /// and no [`SimParams::table_budget`] is set — the historical layout,
-    /// byte-identical to earlier versions. A shard trace (strided DIDs) or
-    /// a table budget switches to a lazy [`SpacePool`]: tables are stamped
-    /// from the canonical layout on first touch and evicted LRU under the
-    /// budget. Either pool produces bit-identical reports.
+    /// Construction builds one canonical [`TenantSpace`] and a
+    /// [`SpacePool`] over DIDs `0..=max_did` (a shard trace carries
+    /// strided global DIDs, so the bound is its highest lane DID). Each
+    /// tenant's tables are stamped from the canonical build on first
+    /// touch; under a [`SimParams::table_budget`] the least recently
+    /// touched spaces are evicted and re-stamped on their next touch, and
+    /// with no budget nothing is evicted. Every budget produces
+    /// bit-identical reports.
     ///
     /// # Panics
     ///
@@ -115,9 +115,8 @@ impl Simulation {
         );
         // Every tenant runs the same OS and driver, so the page inventory —
         // and hence the table *shape* — is shared. Build the canonical
-        // layout once and stamp out the per-DID instances instead of
-        // replaying the full inventory per tenant (the layout is affine in
-        // the DID, see `TenantSpaceBuilder::build_many`).
+        // layout once; the pool stamps per-DID instances from it (the
+        // layout is affine in the DID, see `TenantSpace::stamp`).
         let mut b = TenantSpace::builder(Did::new(0));
         b.geometry(params.walk_geometry);
         for &(iova, size, _) in inventory.iter() {
@@ -129,18 +128,9 @@ impl Simulation {
             context_entries: params.context_entries,
             scheme: params.translation_scheme,
         };
-        let iommu = if (did_first, did_stride) == (0, 1) && params.table_budget.is_none() {
-            let dids: Vec<Did> = (0..trace.tenants()).map(Did::new).collect();
-            Iommu::new(iommu_params, b.build_many(&dids))
-        } else {
-            // Lazy pool: the canonical (DID 0) build plus the DID bound.
-            // Shard lanes carry strided global DIDs, so the bound is the
-            // highest lane DID + 1, not the lane count.
-            let max_did =
-                did_first as u64 + (trace.tenants().max(1) - 1) as u64 * did_stride as u64;
-            let pool = SpacePool::lazy(b.build(), (max_did + 1) as u32, params.table_budget);
-            Iommu::with_pool(iommu_params, pool)
-        };
+        let max_did = did_first as u64 + (trace.tenants().max(1) - 1) as u64 * did_stride as u64;
+        let pool = SpacePool::new(b.build(), (max_did + 1) as u32, params.table_budget);
+        let iommu = Iommu::new(iommu_params, pool);
         let devtlb = DevTlb::new(
             config.devtlb_geometry,
             config.devtlb_partitions,

@@ -85,14 +85,14 @@ pub struct SimParams {
     pub fault_plan: FaultPlan,
     /// Host-memory budget (in bytes) for resident per-tenant page tables.
     ///
-    /// `None` (the default) materialises every tenant's tables eagerly at
-    /// construction, exactly as earlier versions did. `Some(bytes)` switches
-    /// the IOMMU to a lazy [`hypersio_mem::SpacePool`]: tables are stamped
-    /// out from the canonical layout on a tenant's first translation and
-    /// evicted LRU once the budget is exceeded. Rebuilds are bit-identical
-    /// to the evicted tables, so every translation result — and hence the
-    /// whole report — is unchanged by the budget; only host RSS and
-    /// simulator wall time vary.
+    /// Tables are always stamped out from the canonical layout on a
+    /// tenant's first translation (see [`hypersio_mem::SpacePool`]).
+    /// `None` (the default) keeps every stamped space resident;
+    /// `Some(bytes)` evicts the least recently touched spaces once the
+    /// budget is exceeded. Rebuilds are bit-identical to the evicted
+    /// tables, so every translation result — and hence the whole report —
+    /// is unchanged by the budget; only host RSS and simulator wall time
+    /// vary.
     pub table_budget: Option<u64>,
     /// Arrival slots processed per batch frame of the pipeline loop
     /// (default 8).
@@ -164,12 +164,6 @@ impl SimParams {
     pub fn with_arch(mut self, geometry: hypersio_mem::WalkGeometry) -> Self {
         self.walk_geometry = geometry;
         self
-    }
-
-    /// Uses 5-level page tables in both dimensions (35-access full walks).
-    #[deprecated(note = "use with_arch(WalkGeometry::X86Nested5)")]
-    pub fn with_five_level_tables(self) -> Self {
-        self.with_arch(hypersio_mem::WalkGeometry::X86Nested5)
     }
 
     /// Disables translation entirely (native host-interface mode, Fig 5).
@@ -274,13 +268,6 @@ mod tests {
         for g in WalkGeometry::ALL {
             assert_eq!(SimParams::paper().with_arch(g).walk_geometry, g);
         }
-    }
-
-    #[test]
-    fn five_level_shim_maps_to_x86_5() {
-        #[allow(deprecated)]
-        let p = SimParams::paper().with_five_level_tables();
-        assert_eq!(p.walk_geometry, hypersio_mem::WalkGeometry::X86Nested5);
     }
 
     #[test]

@@ -302,7 +302,7 @@ fn latency_json(out: &mut String, stats: &LatencyStats) {
 }
 
 /// Escapes a string for embedding in a JSON literal.
-fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

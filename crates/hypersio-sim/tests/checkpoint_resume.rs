@@ -1,6 +1,6 @@
 //! Interrupt–resume determinism, end to end.
 //!
-//! The contract of `hypersio-checkpoint/v1` (DESIGN.md §16) is that an
+//! The contract of `hypersio-checkpoint/v2` (DESIGN.md §16) is that an
 //! interrupted run, resumed from its checkpoint, is indistinguishable from
 //! a run that was never interrupted: the final report is byte-identical
 //! and the pre-interrupt event stream concatenated with the post-resume

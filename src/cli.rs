@@ -86,7 +86,7 @@ pub struct SimArgs {
     /// single-queue run.
     pub shards: u32,
     /// Host-memory budget for resident per-tenant page tables, in MiB.
-    /// `None` keeps the historical eager (all-resident) tables.
+    /// `None` keeps every stamped table resident.
     pub table_budget_mb: Option<u64>,
     /// Collect per-tenant statistics and print the fairness table (`sim`).
     pub per_tenant: bool,
@@ -111,7 +111,7 @@ pub struct SimArgs {
     /// Periodic checkpoint cadence in simulated microseconds (`sim`).
     /// Requires `--checkpoint-out`.
     pub checkpoint_every_us: Option<u64>,
-    /// Write `hypersio-checkpoint/v1` snapshots to this path (`sim`).
+    /// Write `hypersio-checkpoint/v2` snapshots to this path (`sim`).
     /// Also arms the SIGINT handler: Ctrl-C stops the run at the next
     /// frame boundary and writes a final checkpoint here.
     pub checkpoint_out: Option<String>,
@@ -310,9 +310,9 @@ SCALE-OUT (sim only; results stay deterministic):
                            deterministically (any --jobs value gives a
                            bit-identical merged report)          [1]
     --table-budget-mb <N>  cap resident per-tenant page tables at N MiB;
-                           tables build lazily on first touch and are
+                           tables are stamped on first touch and
                            LRU-evicted under the cap (the report is
-                           bit-identical to the eager default)
+                           bit-identical to the unbounded default)
 
 OBSERVABILITY (sim only; no effect on the simulated behaviour):
     --per-tenant           collect per-DID stats + fairness summary
@@ -330,7 +330,7 @@ OBSERVABILITY (sim only; no effect on the simulated behaviour):
                            exported; the breakdown covers all) [65536]
 
 RESILIENCE (sim only; the report stays bit-identical):
-    --checkpoint-out <path>   write hypersio-checkpoint/v1 snapshots here
+    --checkpoint-out <path>   write hypersio-checkpoint/v2 snapshots here
                               and arm SIGINT: Ctrl-C stops at the next
                               frame boundary and writes a final checkpoint
     --checkpoint-every-us <N> also snapshot every N simulated us
@@ -878,7 +878,7 @@ mod tests {
         assert_eq!(args.shards, 4);
         assert_eq!(args.table_budget_mb, Some(256));
         assert_eq!(args.params().table_budget, Some(256 << 20));
-        // Defaults: one shard, eager tables.
+        // Defaults: one shard, no table budget.
         assert_eq!(SimArgs::default().shards, 1);
         assert_eq!(SimArgs::default().params().table_budget, None);
     }

@@ -3,9 +3,8 @@
 //! The fixtures under `tests/fixtures/` are `sim_report/v1` documents
 //! captured by the *pre-refactor* CLI (when the walker was hard-wired to
 //! x86 4-level nested paging). The default geometry must keep reproducing
-//! them byte-for-byte, the deprecated 5-level shim must be equivalent to
-//! `with_arch(X86Nested5)`, and the RISC-V geometries must be
-//! deterministic across repeated runs.
+//! them byte-for-byte, and every geometry must be deterministic across
+//! repeated runs.
 
 use hypertrio::core::TranslationConfig;
 use hypertrio::sim::{run_sharded, SimParams, Simulation, WalkGeometry};
@@ -70,27 +69,6 @@ fn explicit_x86_4_equals_default() {
     assert_eq!(
         run(SimParams::paper()),
         run(SimParams::paper().with_arch(WalkGeometry::X86Nested4))
-    );
-}
-
-/// The deprecated `with_five_level_tables()` shim must be exactly
-/// `with_arch(X86Nested5)`.
-#[test]
-fn five_level_shim_is_equivalent_to_x86_5() {
-    let run = |params: SimParams| {
-        Simulation::new(
-            TranslationConfig::base(),
-            params.with_warmup(500),
-            trace(WorkloadKind::Iperf3, 16, 100, 1),
-        )
-        .run()
-        .to_json()
-    };
-    #[allow(deprecated)]
-    let shim = run(SimParams::paper().with_five_level_tables());
-    assert_eq!(
-        shim,
-        run(SimParams::paper().with_arch(WalkGeometry::X86Nested5))
     );
 }
 
