@@ -1,4 +1,6 @@
-//! The `Observer` trait and its zero-cost null implementation.
+//! The `Observer` trait, its zero-cost null implementation, and the
+//! combinators (`&mut O`, `Option<O>`, pairs) that compose observers into
+//! the one observer a simulation run takes.
 
 use crate::event::{Event, EventKind, EVENT_KINDS};
 use crate::span::PacketSpan;
@@ -36,9 +38,19 @@ pub trait Observer {
 
     /// Receives one completed packet's lifecycle span (arrival →
     /// completion, with its additive latency decomposition). Only called
-    /// when [`Observer::SPANS`] is `true`; the default is a no-op.
+    /// when [`Observer::wants_spans`] is `true`; the default is a no-op.
     #[inline(always)]
     fn record_span(&mut self, _span: PacketSpan) {}
+
+    /// Run-time refinement of [`Observer::SPANS`]: whether a span
+    /// consumer is actually present. The loop carries span bookkeeping
+    /// only when this is `true`, so an empty span slot leaves the run
+    /// state (and any checkpoint of it) exactly as without one. Defaults
+    /// to `SPANS`, which keeps it a constant for every plain observer.
+    #[inline(always)]
+    fn wants_spans(&self) -> bool {
+        Self::SPANS
+    }
 }
 
 /// The no-op observer: [`Observer::ENABLED`] is `false`, so a simulation
@@ -67,6 +79,41 @@ impl<O: Observer> Observer for &mut O {
     fn record_span(&mut self, span: PacketSpan) {
         (**self).record_span(span);
     }
+
+    #[inline(always)]
+    fn wants_spans(&self) -> bool {
+        (**self).wants_spans()
+    }
+}
+
+/// An optional observer: `Some` forwards every event and span, `None`
+/// drops them. The gates are the inner observer's, so they hold for both
+/// variants — a `None` still pays the per-event emission of an enabled
+/// observer, but it never [wants spans](Observer::wants_spans). This lets
+/// one monomorphization serve any subset of requested outputs, e.g.
+/// `(Option<A>, (Option<B>, Option<C>))`.
+impl<O: Observer> Observer for Option<O> {
+    const ENABLED: bool = O::ENABLED;
+    const SPANS: bool = O::SPANS;
+
+    #[inline(always)]
+    fn record(&mut self, at_ps: u64, event: Event) {
+        if let Some(obs) = self {
+            obs.record(at_ps, event);
+        }
+    }
+
+    #[inline(always)]
+    fn record_span(&mut self, span: PacketSpan) {
+        if let Some(obs) = self {
+            obs.record_span(span);
+        }
+    }
+
+    #[inline(always)]
+    fn wants_spans(&self) -> bool {
+        self.as_ref().is_some_and(O::wants_spans)
+    }
 }
 
 /// Fan-out: a pair of observers both receive every event. Pairs nest, so
@@ -85,6 +132,11 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
     fn record_span(&mut self, span: PacketSpan) {
         self.0.record_span(span);
         self.1.record_span(span);
+    }
+
+    #[inline(always)]
+    fn wants_spans(&self) -> bool {
+        self.0.wants_spans() || self.1.wants_spans()
     }
 }
 
@@ -153,6 +205,13 @@ mod tests {
     // A span collector leaves the per-event stream disabled: attaching one
     // must not force the slow per-slot drop path.
     const _: () = assert!(!crate::SpanCollector::ENABLED);
+    // An optional observer carries the inner observer's gates, whichever
+    // variant it holds at run time.
+    const _: () = assert!(<Option<CountingObserver> as Observer>::ENABLED);
+    const _: () = assert!(!<Option<CountingObserver> as Observer>::SPANS);
+    const _: () = assert!(!<Option<NullObserver> as Observer>::ENABLED);
+    const _: () = assert!(<Option<crate::SpanCollector> as Observer>::SPANS);
+    const _: () = assert!(!<Option<crate::SpanCollector> as Observer>::ENABLED);
 
     #[test]
     fn null_observer_is_callable_without_effect() {
@@ -165,6 +224,39 @@ mod tests {
         pair.record(3, Event::PacketDrop { did: Did::new(0) });
         assert_eq!(pair.0.count(EventKind::PacketDrop), 1);
         assert_eq!(pair.1.count(EventKind::PacketDrop), 1);
+    }
+
+    #[test]
+    fn some_forwards_and_none_records_nothing() {
+        let mut some = Some(CountingObserver::new());
+        some.record(1, Event::PtbRelease);
+        assert_eq!(some.as_ref().map(|c| c.total()), Some(1));
+        let mut none: Option<CountingObserver> = None;
+        none.record(1, Event::PtbRelease);
+        assert!(none.is_none());
+        // Spans follow the same rule.
+        let span = PacketSpan {
+            seq: 0,
+            did: 0,
+            sid: 0,
+            arrival_ps: 0,
+            service_ps: 0,
+            complete_ps: 0,
+            ptb_retries: 0,
+            fault_retries: 0,
+            components: crate::SpanComponents::default(),
+        };
+        let mut spans = Some(crate::SpanCollector::new(4));
+        spans.record_span(span);
+        assert_eq!(spans.as_ref().map(|c| c.len()), Some(1));
+        let mut no_spans: Option<crate::SpanCollector> = None;
+        no_spans.record_span(span);
+        assert!(no_spans.is_none());
+        // Only a present span consumer asks the loop for span bookkeeping.
+        assert!(spans.wants_spans());
+        assert!(!no_spans.wants_spans());
+        assert!(!(some, no_spans).wants_spans());
+        assert!((None::<CountingObserver>, spans).wants_spans());
     }
 
     #[test]

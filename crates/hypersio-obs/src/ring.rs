@@ -241,22 +241,7 @@ impl RingRecorder {
     ///
     /// Propagates I/O errors from `w`.
     pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        writeln!(
-            w,
-            r#"{{"schema":"hypersio-events/v1","recorded":{},"overwritten":{},"truncated":{},"record_bytes":{}}}"#,
-            self.len(),
-            self.overwritten,
-            self.overwritten > 0,
-            RECORD_BYTES
-        )?;
-        let mut line = String::with_capacity(96);
-        for record in self.iter() {
-            line.clear();
-            record.write_json(&mut line);
-            line.push('\n');
-            w.write_all(line.as_bytes())?;
-        }
-        Ok(())
+        write_jsonl_many(std::slice::from_ref(self), w)
     }
 }
 

@@ -153,7 +153,8 @@ impl Simulation {
 
     /// Encodes this run's full mutable state as a `hypersio-checkpoint/v2`
     /// file image. Only meaningful at a batch-frame boundary — which is
-    /// the only place [`Simulation::run_controlled`] calls it.
+    /// the only place the run loop ([`Simulation::run_controlled`]) calls
+    /// it.
     pub fn checkpoint_bytes(&self) -> Vec<u8> {
         let mut words = Vec::new();
         self.snapshot_words(&mut words);

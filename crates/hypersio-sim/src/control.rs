@@ -1,22 +1,27 @@
 //! Run control for production-length simulations: periodic checkpoints,
 //! cooperative interruption, and the RSS watchdog.
 //!
-//! A [`RunControl`] is polled by [`Simulation::run_controlled`] at every
-//! batch-frame boundary — the only point where the pipeline's per-packet
-//! scratch state is quiescent and a checkpoint is well-defined (see
-//! `DESIGN.md` §16). Every knob defaults to off, and an all-default
-//! control leaves the run bit-identical to [`Simulation::run_with`].
+//! A [`RunControl`] is polled by the simulation's one run loop
+//! ([`Simulation::run_controlled`]) at every batch-frame boundary — the
+//! only point where the pipeline's per-packet scratch state is quiescent
+//! and a checkpoint is well-defined (see `DESIGN.md` §16). Every knob
+//! defaults to off; [`Simulation::run`], [`Simulation::run_with`] and
+//! [`Simulation::run_timed`] are that loop under an all-default control.
 //!
 //! [`Simulation::run_controlled`]: crate::Simulation::run_controlled
+//! [`Simulation::run`]: crate::Simulation::run
 //! [`Simulation::run_with`]: crate::Simulation::run_with
+//! [`Simulation::run_timed`]: crate::Simulation::run_timed
 
 use hypersio_types::SimDuration;
 
 use crate::report::SimReport;
 
 /// How many batch frames pass between RSS watchdog polls. Reading
-/// `/proc/self/status` is cheap but not free; at the default batch size of
-/// 8 this samples every 512 arrival slots.
+/// `/proc/self/status` is cheap but not free. A frame is 8 loop
+/// iterations, and each iteration consumes at least one arrival slot (a
+/// fast-forwarded drop spin consumes many), so consecutive polls are at
+/// least 512 arrival slots apart.
 pub(crate) const RSS_CHECK_FRAMES: u64 = 64;
 
 /// Knobs for a controlled run. All default to off; see the module docs.

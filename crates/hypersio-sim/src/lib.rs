@@ -63,15 +63,13 @@ pub use oracle::devtlb_oracle_for;
 pub use params::SimParams;
 pub use per_tenant::{FairnessSummary, PerTenantReport, TenantStat};
 pub use report::SimReport;
-pub use shard::{
-    run_sharded, run_sharded_recorded, run_sharded_recorded_supervised, run_sharded_supervised,
-    ShardSupervision,
-};
+pub use shard::{run_sharded, ShardRun};
 pub use sid_map::SidMap;
 pub use slot_pool::SlotPool;
 
 // Re-export the observability vocabulary so downstream users can drive
-// `Simulation::run_with` without naming the obs crate separately.
+// `Simulation::run_with` / `run_controlled` and write the rings of
+// `run_sharded` without naming the obs crate separately.
 pub use hypersio_obs::{
     reconstruct_spans, write_chrome_trace, write_jsonl_many, ComponentSums, CountingObserver,
     Event, EventKind, LatencyAttribution, NullObserver, Observer, PacketSpan, Reconstruction,

@@ -1,10 +1,12 @@
 //! The device–system simulation loop (§IV-C of the paper).
 //!
-//! The loop itself lives in [`Simulation::run_with`]: a short orchestrator
-//! that moves each arrival slot through the five pipeline stages of
-//! [`crate::pipeline`]. The stages own all mutable run state
-//! ([`PipelineState`]); this module owns only construction and the final
-//! report assembly.
+//! There is one loop, behind [`Simulation::run_controlled`]: a short
+//! orchestrator that moves each arrival slot through the five pipeline
+//! stages of [`crate::pipeline`] and polls its [`RunControl`] between
+//! batch frames. [`Simulation::run`], [`Simulation::run_with`] and
+//! [`Simulation::run_timed`] are that loop under an all-default control.
+//! The stages own all mutable run state ([`PipelineState`]); this module
+//! owns only construction, the loop, and the final report assembly.
 
 use std::fmt;
 
@@ -54,6 +56,11 @@ impl StageTimings {
         self.arrival_ns + self.prefetch_ns + self.lookup_ns + self.walk_ns + self.completion_ns
     }
 }
+
+/// Arrival slots per batch frame of the run loop. Frame boundaries are the
+/// only points where [`RunControl`] is polled and a checkpoint can be
+/// taken; the length never changes simulated behaviour.
+const FRAME_LEN: usize = 8;
 
 /// Accumulates the interval since the previous mark into `acc` and
 /// re-marks. Compiles to nothing when `TIMED` is false.
@@ -176,7 +183,7 @@ impl Simulation {
     /// observer machinery compiles away entirely, so this is exactly the
     /// uninstrumented loop.
     pub fn run(self) -> SimReport {
-        self.run_with(&mut NullObserver)
+        self.run_to_end::<NullObserver, false>(&mut NullObserver).0
     }
 
     /// The architecture under test (checkpoint identity header).
@@ -253,7 +260,7 @@ impl Simulation {
     /// time-bucketing consumers must index by the stamp, not assume
     /// monotonicity.
     pub fn run_with<O: Observer>(self, obs: &mut O) -> SimReport {
-        self.run_core::<O, false>(obs).0
+        self.run_to_end::<O, false>(obs).0
     }
 
     /// Runs the trace to completion, additionally measuring the wall-clock
@@ -264,7 +271,7 @@ impl Simulation {
     /// the untimed run for end-to-end throughput numbers and this one for
     /// the per-stage breakdown; the simulated results are bit-identical.
     pub fn run_timed(self) -> (SimReport, StageTimings) {
-        self.run_core::<NullObserver, true>(&mut NullObserver)
+        self.run_to_end::<NullObserver, true>(&mut NullObserver)
     }
 
     /// Runs the trace under a [`RunControl`]: periodic checkpoints,
@@ -272,7 +279,8 @@ impl Simulation {
     /// batch-frame boundaries (the only quiescent points; see
     /// `DESIGN.md` §16).
     ///
-    /// With an all-default control this is exactly [`Simulation::run_with`]
+    /// Every other `run*` method is this loop under an all-default
+    /// control, so with one this is exactly [`Simulation::run_with`]
     /// wrapped in [`RunOutcome::Completed`] — same report, same event
     /// stream. Checkpoint cadence ticks are anchored at simulated time
     /// zero (tick `k` fires at the first frame boundary at or past
@@ -280,11 +288,37 @@ impl Simulation {
     /// boundaries the original would have, and a run interrupted at frame
     /// boundary `B` then resumed emits, in total, exactly the events of an
     /// uninterrupted run: part one ends at `B` and part two starts there.
-    pub fn run_controlled<O: Observer>(
+    pub fn run_controlled<O: Observer>(self, obs: &mut O, ctl: &mut RunControl<'_>) -> RunOutcome {
+        self.run_frames::<O, false>(obs, ctl).0
+    }
+
+    /// The loop under an all-default [`RunControl`], which never stops a
+    /// run early.
+    fn run_to_end<O: Observer, const TIMED: bool>(self, obs: &mut O) -> (SimReport, StageTimings) {
+        match self.run_frames::<O, TIMED>(obs, &mut RunControl::default()) {
+            (RunOutcome::Completed(report), timings) => (*report, timings),
+            (RunOutcome::Interrupted { .. }, _) => {
+                unreachable!("a default RunControl never interrupts a run")
+            }
+        }
+    }
+
+    /// The run loop — the only one — monomorphized over the observer and
+    /// the timing instrumentation so both compile away when unused.
+    ///
+    /// Arrival slots are processed in batch frames of [`FRAME_LEN`] slots,
+    /// and `ctl` is polled at each frame boundary. Within a frame
+    /// the packets still chain through the stages in exact arrival order
+    /// — a packet's DevTLB installs and PTB occupancy must be visible to
+    /// the next packet's probe and admission — so the frame length never
+    /// changes simulated behaviour; the batch dimension that pays is
+    /// *within* each packet, where the request vector probes the
+    /// DevTLB/PB as one batch and the miss subset translates as one batch.
+    fn run_frames<O: Observer, const TIMED: bool>(
         mut self,
         obs: &mut O,
         ctl: &mut RunControl<'_>,
-    ) -> RunOutcome {
+    ) -> (RunOutcome, StageTimings) {
         let mut timings = StageTimings::default();
         let every_ps = ctl.checkpoint_every.map(|e| e.as_ps()).filter(|&e| e > 0);
         // First cadence tick strictly after the current position, as an
@@ -293,8 +327,8 @@ impl Simulation {
             every_ps.map(|e| (self.state.arrival.slot_time().as_ps() / e + 1) * e);
         let mut frames: u64 = 0;
         loop {
-            if self.run_frame::<O, false>(obs, &mut timings) {
-                return RunOutcome::Completed(Box::new(self.finish(obs)));
+            if self.run_frame::<O, TIMED>(obs, &mut timings) {
+                return (RunOutcome::Completed(Box::new(self.finish(obs))), timings);
             }
             frames += 1;
             if let Some(limit) = ctl.panic_after_frames {
@@ -317,9 +351,8 @@ impl Simulation {
             }
             let stop_timed = ctl.stop_after.is_some_and(|t| now.as_ps() >= t.as_ps());
             if stop_timed || ctl.stop.is_some_and(|stop| stop()) {
-                return RunOutcome::Interrupted {
-                    checkpoint: self.checkpoint_bytes(),
-                };
+                let checkpoint = self.checkpoint_bytes();
+                return (RunOutcome::Interrupted { checkpoint }, timings);
             }
             if let Some(limit) = ctl.rss_limit_bytes {
                 if frames.is_multiple_of(RSS_CHECK_FRAMES) {
@@ -342,42 +375,24 @@ impl Simulation {
         }
     }
 
-    /// The pipeline loop, monomorphized over the observer and the timing
-    /// instrumentation so both compile away when unused.
-    ///
-    /// Arrival slots are processed in batch frames of
-    /// [`SimParams::batch_size`] packets. Within a frame the packets still
-    /// chain through the stages in exact arrival order — a packet's DevTLB
-    /// installs and PTB occupancy must be visible to the next packet's
-    /// probe and admission — so the frame length never changes simulated
-    /// behaviour (the differential suite pins sizes 1/2/8/32 against each
-    /// other); the batch dimension that pays is *within* each packet,
-    /// where the request vector probes the DevTLB/PB as one batch and the
-    /// miss subset translates as one batch.
-    fn run_core<O: Observer, const TIMED: bool>(
-        mut self,
-        obs: &mut O,
-    ) -> (SimReport, StageTimings) {
-        let mut timings = StageTimings::default();
-        while !self.run_frame::<O, TIMED>(obs, &mut timings) {}
-        (self.finish(obs), timings)
-    }
-
-    /// Runs one batch frame (up to [`SimParams::batch_size`] arrival
-    /// slots); returns `true` once the trace is exhausted. Between calls
-    /// the pipeline is quiescent — no per-packet scratch state is live —
-    /// which is what makes the frame boundary the checkpoint point.
+    /// Runs one batch frame (up to [`FRAME_LEN`] arrival slots); returns
+    /// `true` once the trace is exhausted. Between calls the pipeline is
+    /// quiescent — no per-packet scratch state is live — which is what
+    /// makes the frame boundary the checkpoint point.
     fn run_frame<O: Observer, const TIMED: bool>(
         &mut self,
         obs: &mut O,
         timings: &mut StageTimings,
     ) -> bool {
-        let batch = self.params.batch_size.max(1);
         let st = &mut self.state;
+        // Span bookkeeping is compiled in by the observer's `SPANS` gate
+        // and carried only while a span consumer is present, so an empty
+        // span slot leaves the pipeline state as without one.
+        let spans = O::SPANS && obs.wants_spans();
         let mut mark = None;
         {
-            // One batch frame: up to `batch` arrival slots.
-            for _ in 0..batch {
+            // One batch frame: up to `FRAME_LEN` arrival slots.
+            for _ in 0..FRAME_LEN {
                 let now = st.arrival.slot_time();
                 if TIMED {
                     mark = Some(std::time::Instant::now());
@@ -407,7 +422,7 @@ impl Simulation {
                         continue;
                     }
                     Fetched::Retry(mut work) => {
-                        if O::SPANS {
+                        if spans {
                             // Close the wait segment opened at the drop:
                             // measured to the actual re-fetch slot, the
                             // total is exact whether the retry spin was
@@ -444,7 +459,7 @@ impl Simulation {
                             obs,
                         );
                         lap::<TIMED>(&mut mark, &mut timings.lookup_ns);
-                        if O::SPANS {
+                        if spans {
                             // Seed the span at first arrival: `observed`
                             // was just bumped by the fetch, so the 0-based
                             // sequence number is `observed - 1`.
@@ -476,7 +491,7 @@ impl Simulation {
                             st.lookup.reclaim(misses);
                         } else {
                             st.completion.record_drop(work.packet.did, now, obs);
-                            if O::SPANS {
+                            if spans {
                                 work.span.note_drop(now.as_ps(), true);
                             }
                             let delay = inj.backoff_slots(work.fault_retries);
@@ -493,7 +508,7 @@ impl Simulation {
                 // next slot (§IV-C).
                 if !st.walk.admit(now, st.lookup.bypass()) {
                     st.completion.record_drop(work.packet.did, now, obs);
-                    if O::SPANS {
+                    if spans {
                         work.span.note_drop(now.as_ps(), false);
                     }
                     // Fast-forward the retry spin: without an observer or a
@@ -507,7 +522,7 @@ impl Simulation {
                     if !O::ENABLED && st.faults.is_none() {
                         let skipped = st.arrival.fast_forward_drops(st.walk.ptb_earliest_free());
                         st.completion.record_drops_bulk(work.packet.did, skipped);
-                        if O::SPANS {
+                        if spans {
                             // Each skipped slot was one more PTB-full
                             // drop; the wait time itself is closed at the
                             // real retry fetch, so only the count is owed.
@@ -536,7 +551,7 @@ impl Simulation {
                 st.lookup.reclaim(misses);
                 st.completion
                     .record_complete(packet.did, now, completion, obs);
-                if O::SPANS {
+                if spans {
                     // The wait side (seed) tiles [arrival, now) and the
                     // service side (serve's critical path) tiles
                     // [now, completion): together the six components sum

@@ -12,7 +12,8 @@ use hypersio_types::{GIova, SimDuration, SimTime};
 /// [`PacketSpan`](hypersio_obs::PacketSpan).
 ///
 /// Inert (default-constructed and never touched) unless the observer's
-/// compile-time [`SPANS`](hypersio_obs::Observer::SPANS) gate is on, so
+/// compile-time [`SPANS`](hypersio_obs::Observer::SPANS) gate is on and
+/// it [wants spans](hypersio_obs::Observer::wants_spans) at run time, so
 /// span assembly costs nothing on the plain path. Wait segments are
 /// measured from `wait_from_ps` to the *actual* re-fetch slot, so the
 /// totals stay exact whether the drop/retry spin is iterated per slot or

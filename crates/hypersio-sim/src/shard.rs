@@ -22,7 +22,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hypersio_cache::CacheStats;
 use hypersio_mem::IommuStats;
-use hypersio_obs::{Event, Observer, RingRecorder};
+use hypersio_obs::{Event, NullObserver, Observer, RingRecorder};
 use hypersio_trace::HyperTraceBuilder;
 use hypersio_types::{Bandwidth, Bytes, SimDuration};
 use hypertrio_core::TranslationConfig;
@@ -37,51 +37,65 @@ use crate::per_tenant::{PerTenantReport, TenantStat};
 use crate::report::SimReport;
 
 /// Frames an injected failure waits before panicking
-/// ([`ShardSupervision::fail_shard_once`]); deep enough into the run that
-/// a retry exercises real resume, shallow enough to fire before even a
-/// short test trace is exhausted.
+/// ([`ShardRun::fail_shard_once`]); deep enough into the run that a retry
+/// exercises real resume, shallow enough to fire before even a short test
+/// trace is exhausted.
 const FAIL_AFTER_FRAMES: u64 = 8;
 
-/// Retry policy for sharded workers.
+/// How [`run_sharded`] runs a trace: the shard count, the worker pool,
+/// event recording, and worker supervision. Each setting is independent
+/// of the others.
 ///
-/// A worker that panics (a model bug, a poisoned allocation) is contained
-/// by the supervisor instead of tearing down the whole run: the panic is
-/// caught, the shard is retried up to [`ShardSupervision::max_attempts`]
-/// times, and only when every attempt fails does the run surface
-/// [`SimError::ShardFailed`]. Plain workers resume each retry from the
-/// shard's last in-memory checkpoint (taken at the
-/// [`ShardSupervision::checkpoint_every`] cadence); recorded workers
-/// restart from scratch — a half-filled event ring cannot be reconstructed
-/// mid-stream — and stamp an [`Event::ShardRetry`] at the head of the
-/// fresh ring so the event stream discloses the restart. Either way the
-/// merged report of a retried run is bit-identical to a run that never
-/// panicked.
+/// Every worker runs under the same supervisor. A worker that panics (a
+/// model bug, a poisoned allocation) is contained instead of tearing down
+/// the whole run: the panic is caught, the shard is retried up to
+/// [`ShardRun::max_attempts`] times, and only when every attempt fails
+/// does the run surface [`SimError::ShardFailed`]. The default of one
+/// attempt therefore turns a panic into that error without a retry.
+/// Unrecorded workers resume each retry from the shard's last in-memory
+/// checkpoint (taken at the [`ShardRun::checkpoint_every`] cadence);
+/// recorded workers restart from scratch — a half-filled event ring
+/// cannot be reconstructed mid-stream — and stamp an
+/// [`Event::ShardRetry`] at the head of the fresh ring so the event
+/// stream discloses the restart. Either way the merged report of a
+/// retried run is bit-identical to a run that never panicked.
 #[derive(Debug, Clone)]
-pub struct ShardSupervision {
+pub struct ShardRun {
+    /// Independent device queues; shard `s` owns the tenants whose DID is
+    /// `s` mod `shards`. At least 1.
+    pub shards: u32,
+    /// Worker threads the shards fan out over.
+    pub jobs: usize,
+    /// Records each shard's lifecycle events into its own
+    /// [`RingRecorder`] of this many events; `None` records nothing.
+    pub record: Option<usize>,
     /// Total attempts per shard (first run included); at least 1.
     pub max_attempts: u32,
-    /// In-memory checkpoint cadence (simulated time) for plain workers;
-    /// `None` retries from the start of the shard.
+    /// In-memory checkpoint cadence (simulated time) for unrecorded
+    /// workers; `None` retries from the start of the shard.
     pub checkpoint_every: Option<SimDuration>,
-    /// Test knob: the named shard panics once, on its first attempt, a
-    /// fixed few dozen frames in (`FAIL_AFTER_FRAMES`). Exercises
-    /// containment and retry deterministically; never set it in
-    /// production runs.
+    /// Test knob: the named shard panics once, on its first attempt,
+    /// `FAIL_AFTER_FRAMES` (8) frames in. Exercises containment and retry
+    /// deterministically; never set it in production runs.
     pub fail_shard_once: Option<u32>,
 }
 
-impl Default for ShardSupervision {
+impl Default for ShardRun {
+    /// One shard on one thread, no recording, one attempt: the plain run.
     fn default() -> Self {
-        ShardSupervision {
-            max_attempts: 3,
+        ShardRun {
+            shards: 1,
+            jobs: 1,
+            record: None,
+            max_attempts: 1,
             checkpoint_every: None,
             fail_shard_once: None,
         }
     }
 }
 
-/// Runs `builder`'s trace as `shards` independent DID-sharded device
-/// queues on up to `jobs` threads and merges the per-shard reports.
+/// Runs `builder`'s trace as `run.shards` independent DID-sharded device
+/// queues on up to `run.jobs` threads and merges the per-shard reports.
 ///
 /// Each shard builds its own sub-trace (`builder.shard(s, shards)`), runs
 /// the full five-stage pipeline in its worker thread, and reports like any
@@ -97,6 +111,12 @@ impl Default for ShardSupervision {
 /// - the latency histogram is merged in shard order, and per-tenant rows
 ///   (when collected) are concatenated and sorted by global DID.
 ///
+/// With [`ShardRun::record`] set, the per-shard rings come back in shard
+/// order — concatenating them (e.g. with
+/// [`hypersio_obs::write_jsonl_many`]) yields the deterministic merged
+/// event stream; otherwise the vector is empty. Recording never changes
+/// the report.
+///
 /// The result is bit-identical for every `jobs` value. `shards = 1` is the
 /// plain unsharded run. Note that `shards > 1` legitimately changes the
 /// model (S queues instead of one), so its report is *not* expected to
@@ -106,237 +126,17 @@ impl Default for ShardSupervision {
 ///
 /// Returns [`SimError::NoShards`] when `shards` is zero,
 /// [`SimError::ShardsExceedTenants`] when a shard would own no tenants,
-/// and [`SimError::FaultPlanSharded`] when a non-empty fault plan is
-/// combined with `shards > 1` (the injector's schedule is defined over
-/// the full DID population).
+/// [`SimError::FaultPlanSharded`] when a non-empty fault plan is combined
+/// with `shards > 1` (the injector's schedule is defined over the full DID
+/// population), and [`SimError::ShardFailed`] when a shard panics on every
+/// attempt.
 pub fn run_sharded(
     config: &TranslationConfig,
     params: &SimParams,
     builder: &HyperTraceBuilder,
-    shards: u32,
-    jobs: usize,
-) -> Result<SimReport, SimError> {
-    let (report, _) = run_shards(config, params, builder, shards, jobs, None, None)?;
-    Ok(report)
-}
-
-/// [`run_sharded`] with panic containment: each worker runs under the
-/// given [`ShardSupervision`], so a shard that panics is retried from its
-/// last in-memory checkpoint instead of aborting the process.
-///
-/// # Errors
-///
-/// Everything [`run_sharded`] returns, plus [`SimError::ShardFailed`]
-/// when a shard panics on every attempt.
-pub fn run_sharded_supervised(
-    config: &TranslationConfig,
-    params: &SimParams,
-    builder: &HyperTraceBuilder,
-    shards: u32,
-    jobs: usize,
-    supervision: &ShardSupervision,
-) -> Result<SimReport, SimError> {
-    let (report, _) = run_shards(
-        config,
-        params,
-        builder,
-        shards,
-        jobs,
-        None,
-        Some(supervision),
-    )?;
-    Ok(report)
-}
-
-/// [`run_sharded`] with event recording: each shard streams its lifecycle
-/// events into its own [`RingRecorder`] of `ring_capacity` events.
-///
-/// The rings are returned in shard order — concatenating them (e.g. with
-/// [`hypersio_obs::write_jsonl_many`]) yields the deterministic merged
-/// event stream. The report is bit-identical to [`run_sharded`]'s (the
-/// observer never changes simulated behaviour).
-///
-/// # Errors
-///
-/// The same precondition errors as [`run_sharded`].
-pub fn run_sharded_recorded(
-    config: &TranslationConfig,
-    params: &SimParams,
-    builder: &HyperTraceBuilder,
-    shards: u32,
-    jobs: usize,
-    ring_capacity: usize,
+    run: &ShardRun,
 ) -> Result<(SimReport, Vec<RingRecorder>), SimError> {
-    run_sharded_recorded_inner(config, params, builder, shards, jobs, ring_capacity, None)
-}
-
-/// [`run_sharded_recorded`] under a [`ShardSupervision`]. A retried shard
-/// restarts its recording from scratch (the ring cannot be reconstructed
-/// mid-stream) and the fresh ring opens with an [`Event::ShardRetry`], so
-/// downstream consumers can tell a restarted stream from a clean one.
-///
-/// # Errors
-///
-/// Everything [`run_sharded`] returns, plus [`SimError::ShardFailed`]
-/// when a shard panics on every attempt.
-pub fn run_sharded_recorded_supervised(
-    config: &TranslationConfig,
-    params: &SimParams,
-    builder: &HyperTraceBuilder,
-    shards: u32,
-    jobs: usize,
-    ring_capacity: usize,
-    supervision: &ShardSupervision,
-) -> Result<(SimReport, Vec<RingRecorder>), SimError> {
-    run_sharded_recorded_inner(
-        config,
-        params,
-        builder,
-        shards,
-        jobs,
-        ring_capacity,
-        Some(supervision),
-    )
-}
-
-fn run_sharded_recorded_inner(
-    config: &TranslationConfig,
-    params: &SimParams,
-    builder: &HyperTraceBuilder,
-    shards: u32,
-    jobs: usize,
-    ring_capacity: usize,
-    supervision: Option<&ShardSupervision>,
-) -> Result<(SimReport, Vec<RingRecorder>), SimError> {
-    let (report, rings) = run_shards(
-        config,
-        params,
-        builder,
-        shards,
-        jobs,
-        Some(ring_capacity),
-        supervision,
-    )?;
-    let rings = rings
-        .into_iter()
-        .map(|r| r.expect("recording was requested for every shard"))
-        .collect();
-    Ok((report, rings))
-}
-
-/// One worker: runs shard `s` with up to `max_attempts` tries, containing
-/// panics with [`catch_unwind`]. Plain workers checkpoint at the
-/// supervision cadence and resume a retry from the last checkpoint;
-/// recorded workers restart from scratch and open the fresh ring with an
-/// [`Event::ShardRetry`].
-#[allow(clippy::too_many_arguments)]
-fn run_one_shard(
-    config: &TranslationConfig,
-    params: &SimParams,
-    builder: &HyperTraceBuilder,
-    s: u32,
-    shards: u32,
-    ring_capacity: Option<usize>,
-    supervision: Option<&ShardSupervision>,
-) -> Result<(SimReport, Option<RingRecorder>), SimError> {
-    let build_sim = || {
-        let trace = builder.clone().shard(s, shards).build();
-        Simulation::new(config.clone(), params.clone(), trace)
-    };
-    let Some(sup) = supervision else {
-        // Unsupervised: the historical direct path, zero control overhead.
-        let sim = build_sim();
-        return Ok(match ring_capacity {
-            None => (sim.run(), None),
-            Some(cap) => {
-                let mut ring = RingRecorder::new(cap);
-                let report = sim.run_with(&mut ring);
-                (report, Some(ring))
-            }
-        });
-    };
-    let max_attempts = sup.max_attempts.max(1);
-    // The last good checkpoint of this shard, held in memory; retries of
-    // the plain path resume here instead of replaying the whole shard.
-    let mut resume_point: Option<Vec<u8>> = None;
-    for attempt in 1..=max_attempts {
-        let inject = sup.fail_shard_once == Some(s) && attempt == 1;
-        let resume = resume_point.clone();
-        let mut latest: Option<Vec<u8>> = None;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut sim = build_sim();
-            match ring_capacity {
-                None => {
-                    if let Some(bytes) = &resume {
-                        sim.resume_from_bytes(bytes)
-                            .expect("in-memory checkpoint from this very run");
-                    }
-                    let mut sink = |bytes: Vec<u8>| latest = Some(bytes);
-                    let mut ctl = RunControl {
-                        checkpoint_every: sup.checkpoint_every,
-                        checkpoint_sink: Some(&mut sink),
-                        panic_after_frames: inject.then_some(FAIL_AFTER_FRAMES),
-                        ..RunControl::default()
-                    };
-                    match sim.run_controlled(&mut hypersio_obs::NullObserver, &mut ctl) {
-                        RunOutcome::Completed(report) => (*report, None),
-                        RunOutcome::Interrupted { .. } => {
-                            unreachable!("no stop flag is wired into shard workers")
-                        }
-                    }
-                }
-                Some(cap) => {
-                    // A recorded retry restarts from scratch: the previous
-                    // attempt's half-filled ring is gone with its stack.
-                    // Disclose the restart as the first event.
-                    let mut ring = RingRecorder::new(cap);
-                    if attempt > 1 {
-                        ring.record(
-                            0,
-                            Event::ShardRetry {
-                                shard: s,
-                                attempt: attempt as u64,
-                            },
-                        );
-                    }
-                    let mut ctl = RunControl {
-                        panic_after_frames: inject.then_some(FAIL_AFTER_FRAMES),
-                        ..RunControl::default()
-                    };
-                    match sim.run_controlled(&mut ring, &mut ctl) {
-                        RunOutcome::Completed(report) => (*report, Some(ring)),
-                        RunOutcome::Interrupted { .. } => {
-                            unreachable!("no stop flag is wired into shard workers")
-                        }
-                    }
-                }
-            }
-        }));
-        // Keep the furthest checkpoint even from a failed attempt: the
-        // panic happened after it was taken, so it is still a good state.
-        if let Some(bytes) = latest {
-            resume_point = Some(bytes);
-        }
-        if let Ok(result) = outcome {
-            return Ok(result);
-        }
-    }
-    Err(SimError::ShardFailed {
-        shard: s,
-        attempts: max_attempts,
-    })
-}
-
-/// Shared driver: validates, runs the shards on the worker pool, merges.
-fn run_shards(
-    config: &TranslationConfig,
-    params: &SimParams,
-    builder: &HyperTraceBuilder,
-    shards: u32,
-    jobs: usize,
-    ring_capacity: Option<usize>,
-    supervision: Option<&ShardSupervision>,
-) -> Result<(SimReport, Vec<Option<RingRecorder>>), SimError> {
+    let shards = run.shards;
     if shards == 0 {
         return Err(SimError::NoShards);
     }
@@ -348,32 +148,89 @@ fn run_shards(
         return Err(SimError::FaultPlanSharded { shards });
     }
     let indices: Vec<u32> = (0..shards).collect();
-    let mut results: Vec<Result<(SimReport, Option<RingRecorder>), SimError>> =
-        parallel_map(&indices, jobs, |&s| {
-            run_one_shard(
-                config,
-                params,
-                builder,
-                s,
-                shards,
-                ring_capacity,
-                supervision,
-            )
-        });
-    // Fail on the lowest failing shard index for a deterministic error.
-    if let Some(pos) = results.iter().position(|r| r.is_err()) {
-        let err = results
-            .swap_remove(pos)
-            .expect_err("position() found an Err here");
-        return Err(err);
-    }
-    let mut results: Vec<(SimReport, Option<RingRecorder>)> = results
-        .into_iter()
-        .map(|r| r.expect("error case returned above"))
-        .collect();
-    let rings: Vec<Option<RingRecorder>> = results.iter_mut().map(|(_, r)| r.take()).collect();
-    let reports: Vec<SimReport> = results.into_iter().map(|(r, _)| r).collect();
+    let results = parallel_map(&indices, run.jobs, |&s| {
+        run_one_shard(config, params, builder, s, run)
+    });
+    // Collecting stops at the lowest failing shard index, so the error is
+    // deterministic.
+    let results: Vec<(SimReport, Option<RingRecorder>)> =
+        results.into_iter().collect::<Result<_, _>>()?;
+    let (reports, rings): (Vec<SimReport>, Vec<Option<RingRecorder>>) = results.into_iter().unzip();
+    let rings = rings.into_iter().flatten().collect();
     Ok((merge_reports(reports, shards, params), rings))
+}
+
+/// One worker: runs shard `s` with up to `max_attempts` tries, containing
+/// panics with [`catch_unwind`]. Unrecorded workers checkpoint at the
+/// [`ShardRun::checkpoint_every`] cadence and resume a retry from the last
+/// checkpoint; recorded workers restart from scratch and open the fresh
+/// ring with an [`Event::ShardRetry`].
+fn run_one_shard(
+    config: &TranslationConfig,
+    params: &SimParams,
+    builder: &HyperTraceBuilder,
+    s: u32,
+    run: &ShardRun,
+) -> Result<(SimReport, Option<RingRecorder>), SimError> {
+    let max_attempts = run.max_attempts.max(1);
+    // The last good checkpoint of this shard, held in memory; retries of
+    // an unrecorded shard resume here instead of replaying the whole shard.
+    let mut resume_point: Option<Vec<u8>> = None;
+    for attempt in 1..=max_attempts {
+        let mut latest: Option<Vec<u8>> = None;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let trace = builder.clone().shard(s, run.shards).build();
+            let mut sim = Simulation::new(config.clone(), params.clone(), trace);
+            let mut ring = run.record.map(RingRecorder::new);
+            match (ring.as_mut(), &resume_point) {
+                // A recorded retry restarts from scratch: the previous
+                // attempt's half-filled ring is gone with its stack.
+                // Disclose the restart as the first event.
+                (Some(ring), _) if attempt > 1 => ring.record(
+                    0,
+                    Event::ShardRetry {
+                        shard: s,
+                        attempt: attempt as u64,
+                    },
+                ),
+                (None, Some(bytes)) => sim
+                    .resume_from_bytes(bytes)
+                    .expect("in-memory checkpoint from this very run"),
+                _ => {}
+            }
+            let mut sink = |bytes: Vec<u8>| latest = Some(bytes);
+            let mut ctl = RunControl {
+                // Only an unrecorded shard resumes, so only it checkpoints.
+                checkpoint_every: run.checkpoint_every.filter(|_| ring.is_none()),
+                checkpoint_sink: Some(&mut sink),
+                panic_after_frames: (run.fail_shard_once == Some(s) && attempt == 1)
+                    .then_some(FAIL_AFTER_FRAMES),
+                ..RunControl::default()
+            };
+            let outcome = match ring.as_mut() {
+                None => sim.run_controlled(&mut NullObserver, &mut ctl),
+                Some(ring) => sim.run_controlled(ring, &mut ctl),
+            };
+            match outcome {
+                RunOutcome::Completed(report) => (*report, ring),
+                RunOutcome::Interrupted { .. } => {
+                    unreachable!("no stop flag is wired into shard workers")
+                }
+            }
+        }));
+        // Keep the furthest checkpoint even from a failed attempt: the
+        // panic happened after it was taken, so it is still a good state.
+        if latest.is_some() {
+            resume_point = latest;
+        }
+        if let Ok(result) = outcome {
+            return Ok(result);
+        }
+    }
+    Err(SimError::ShardFailed {
+        shard: s,
+        attempts: max_attempts,
+    })
 }
 
 /// Merges per-shard reports in shard-index order (see [`run_sharded`] for
@@ -498,17 +355,36 @@ mod tests {
             .seed(11)
     }
 
+    /// `shards` queues on `jobs` threads, otherwise the defaults.
+    fn sharded(shards: u32, jobs: usize) -> ShardRun {
+        ShardRun {
+            shards,
+            jobs,
+            ..ShardRun::default()
+        }
+    }
+
+    /// The merged report of an unrecorded run.
+    fn report_of(
+        config: &TranslationConfig,
+        params: &SimParams,
+        b: &HyperTraceBuilder,
+        run: &ShardRun,
+    ) -> Result<SimReport, SimError> {
+        run_sharded(config, params, b, run).map(|(report, _)| report)
+    }
+
     #[test]
     fn single_shard_is_the_unsharded_run() {
         let b = builder(16, 2000);
-        let sharded = run_sharded(
+        let (sharded, rings) = run_sharded(
             &TranslationConfig::hypertrio(),
             &SimParams::paper(),
             &b,
-            1,
-            1,
+            &ShardRun::default(),
         )
         .expect("valid single-shard run");
+        assert!(rings.is_empty(), "nothing was recorded");
         let plain = Simulation::new(
             TranslationConfig::hypertrio(),
             SimParams::paper(),
@@ -519,12 +395,35 @@ mod tests {
     }
 
     #[test]
+    fn one_recorded_shard_writes_the_single_queue_stream() {
+        let b = builder(16, 2000);
+        let config = TranslationConfig::hypertrio();
+        let params = SimParams::paper();
+        let run = ShardRun {
+            record: Some(1 << 16),
+            ..ShardRun::default()
+        };
+        let (sharded, rings) = run_sharded(&config, &params, &b, &run).expect("valid run");
+        assert_eq!(rings.len(), 1);
+        let mut many = Vec::new();
+        hypersio_obs::write_jsonl_many(&rings, &mut many).expect("in-memory write");
+
+        let mut ring = RingRecorder::new(1 << 16);
+        let plain = Simulation::new(config, params, b.build()).run_with(&mut ring);
+        let mut single = Vec::new();
+        ring.write_jsonl(&mut single).expect("in-memory write");
+        assert_eq!(ring.overwritten(), 0, "the ring must hold the whole run");
+        assert_eq!(sharded, plain);
+        assert_eq!(many, single);
+    }
+
+    #[test]
     fn jobs_do_not_change_the_merged_report() {
         let b = builder(16, 1000);
         let config = TranslationConfig::hypertrio();
         let params = SimParams::paper().with_per_tenant();
-        let serial = run_sharded(&config, &params, &b, 4, 1).expect("valid run");
-        let threaded = run_sharded(&config, &params, &b, 4, 3).expect("valid run");
+        let serial = report_of(&config, &params, &b, &sharded(4, 1)).expect("valid run");
+        let threaded = report_of(&config, &params, &b, &sharded(4, 3)).expect("valid run");
         assert_eq!(serial, threaded);
     }
 
@@ -533,7 +432,7 @@ mod tests {
         let b = builder(8, 1000);
         let config = TranslationConfig::base();
         let params = SimParams::paper();
-        let merged = run_sharded(&config, &params, &b, 2, 1).expect("valid run");
+        let merged = report_of(&config, &params, &b, &sharded(2, 1)).expect("valid run");
         let shard0 = Simulation::new(
             config.clone(),
             params.clone(),
@@ -566,12 +465,11 @@ mod tests {
     #[test]
     fn per_tenant_rows_cover_all_global_dids_in_order() {
         let b = builder(9, 1000);
-        let merged = run_sharded(
+        let merged = report_of(
             &TranslationConfig::hypertrio(),
             &SimParams::paper().with_per_tenant(),
             &b,
-            3,
-            2,
+            &sharded(3, 2),
         )
         .expect("valid run");
         let pt = merged.per_tenant.as_ref().expect("per-tenant opted in");
@@ -586,9 +484,12 @@ mod tests {
         let b = builder(8, 1000);
         let config = TranslationConfig::hypertrio();
         let params = SimParams::paper();
-        let plain = run_sharded(&config, &params, &b, 2, 2).expect("valid run");
-        let (recorded, rings) =
-            run_sharded_recorded(&config, &params, &b, 2, 2, 4096).expect("valid run");
+        let plain = report_of(&config, &params, &b, &sharded(2, 2)).expect("valid run");
+        let run = ShardRun {
+            record: Some(4096),
+            ..sharded(2, 2)
+        };
+        let (recorded, rings) = run_sharded(&config, &params, &b, &run).expect("valid run");
         assert_eq!(plain, recorded);
         assert_eq!(rings.len(), 2);
         assert!(rings.iter().all(|r| !r.is_empty()));
@@ -602,7 +503,8 @@ mod tests {
         // merged achieved bandwidth must exceed what one link can carry.
         let b = builder(4, 1).requests_per_tenant(3000);
         let params = SimParams::paper().with_warmup(500);
-        let merged = run_sharded(&TranslationConfig::base(), &params, &b, 2, 1).expect("valid run");
+        let merged =
+            report_of(&TranslationConfig::base(), &params, &b, &sharded(2, 1)).expect("valid run");
         let one_queue = Simulation::new(
             TranslationConfig::base(),
             params.clone(),
@@ -628,12 +530,11 @@ mod tests {
     #[test]
     fn fault_plans_reject_multiple_shards() {
         let plan = crate::faults::FaultPlan::none().with_fault_rate(0.01);
-        let err = run_sharded(
+        let err = report_of(
             &TranslationConfig::base(),
             &SimParams::paper().with_fault_plan(plan),
             &builder(8, 1000),
-            2,
-            1,
+            &sharded(2, 1),
         )
         .expect_err("fault plans must reject multiple shards");
         assert_eq!(err, SimError::FaultPlanSharded { shards: 2 });
@@ -643,10 +544,10 @@ mod tests {
     fn precondition_violations_are_typed_errors() {
         let config = TranslationConfig::base();
         let params = SimParams::paper();
-        let err = run_sharded(&config, &params, &builder(8, 1000), 0, 1)
+        let err = report_of(&config, &params, &builder(8, 1000), &sharded(0, 1))
             .expect_err("zero shards is invalid");
         assert_eq!(err, SimError::NoShards);
-        let err = run_sharded(&config, &params, &builder(4, 1000), 5, 1)
+        let err = report_of(&config, &params, &builder(4, 1000), &sharded(5, 1))
             .expect_err("a shard would own no tenants");
         assert_eq!(
             err,
@@ -662,34 +563,35 @@ mod tests {
         let b = builder(8, 1000);
         let config = TranslationConfig::hypertrio();
         let params = SimParams::paper();
-        let clean = run_sharded(&config, &params, &b, 2, 1).expect("valid run");
-        let sup = ShardSupervision {
+        let clean = report_of(&config, &params, &b, &sharded(2, 1)).expect("valid run");
+        let run = ShardRun {
             max_attempts: 2,
             // ~4 frames apart at this scale: the retry resumes from a real
             // mid-run checkpoint rather than restarting from scratch.
             checkpoint_every: Some(SimDuration::from_us(1)),
             fail_shard_once: Some(1),
+            ..sharded(2, 1)
         };
-        let survived = run_sharded_supervised(&config, &params, &b, 2, 1, &sup)
-            .expect("one panic is within the retry budget");
+        let survived =
+            report_of(&config, &params, &b, &run).expect("one panic is within the retry budget");
         assert_eq!(clean, survived);
     }
 
     #[test]
     fn retry_exhaustion_is_a_shard_failed_error() {
         let b = builder(8, 1000);
-        let sup = ShardSupervision {
-            max_attempts: 1, // the injected panic consumes the only attempt
+        // The default single attempt: the injected panic consumes it, and
+        // the run reports the shard instead of unwinding into the caller.
+        let run = ShardRun {
             checkpoint_every: Some(SimDuration::from_us(1)),
             fail_shard_once: Some(0),
+            ..sharded(2, 2)
         };
-        let err = run_sharded_supervised(
+        let err = report_of(
             &TranslationConfig::hypertrio(),
             &SimParams::paper(),
             &b,
-            2,
-            2,
-            &sup,
+            &run,
         )
         .expect_err("the failing shard has no retry budget");
         assert_eq!(
@@ -706,16 +608,18 @@ mod tests {
         let b = builder(8, 1000);
         let config = TranslationConfig::hypertrio();
         let params = SimParams::paper();
-        let (clean, clean_rings) =
-            run_sharded_recorded(&config, &params, &b, 2, 1, 4096).expect("valid run");
-        let sup = ShardSupervision {
+        let recorded = ShardRun {
+            record: Some(4096),
+            ..sharded(2, 1)
+        };
+        let (clean, clean_rings) = run_sharded(&config, &params, &b, &recorded).expect("valid run");
+        let run = ShardRun {
             max_attempts: 3,
-            checkpoint_every: None,
             fail_shard_once: Some(0),
+            ..recorded
         };
         let (survived, rings) =
-            run_sharded_recorded_supervised(&config, &params, &b, 2, 1, 4096, &sup)
-                .expect("one panic is within the retry budget");
+            run_sharded(&config, &params, &b, &run).expect("one panic is within the retry budget");
         assert_eq!(clean, survived);
         // The retried shard's ring opens with the ShardRetry marker; apart
         // from that one extra event the streams are identical.
@@ -742,13 +646,13 @@ mod tests {
         let b = builder(8, 1000);
         let config = TranslationConfig::base();
         let params = SimParams::paper();
-        let plain = run_sharded(&config, &params, &b, 2, 1).expect("valid run");
-        let sup = ShardSupervision {
+        let plain = report_of(&config, &params, &b, &sharded(2, 1)).expect("valid run");
+        let run = ShardRun {
+            max_attempts: 3,
             checkpoint_every: Some(SimDuration::from_us(3)),
-            ..ShardSupervision::default()
+            ..sharded(2, 1)
         };
-        let supervised =
-            run_sharded_supervised(&config, &params, &b, 2, 1, &sup).expect("valid run");
+        let supervised = report_of(&config, &params, &b, &run).expect("valid run");
         assert_eq!(plain, supervised);
     }
 }

@@ -6,10 +6,8 @@ use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 use hypersio_sim::{
-    run_sharded, run_sharded_recorded, run_sharded_recorded_supervised, run_sharded_supervised,
-    sweep_tenants_parallel, write_jsonl_many, FaultPlan, NullObserver, RingRecorder, RunControl,
-    RunOutcome, ShardSupervision, SimReport, Simulation, SpanCollector, SweepSpec,
-    TimeSeriesSampler,
+    run_sharded, sweep_tenants_parallel, write_jsonl_many, FaultPlan, NullObserver, RingRecorder,
+    RunControl, RunOutcome, ShardRun, Simulation, SpanCollector, SweepSpec, TimeSeriesSampler,
 };
 use hypersio_trace::HyperTraceBuilder;
 use hypersio_types::SimDuration;
@@ -95,15 +93,11 @@ fn main() -> ExitCode {
     }
 }
 
-fn trace_builder(args: &SimArgs, tenants: u32, scale: u64) -> HyperTraceBuilder {
-    HyperTraceBuilder::new(args.workload, tenants)
+fn trace_builder(args: &SimArgs) -> HyperTraceBuilder {
+    HyperTraceBuilder::new(args.workload, args.tenants)
         .interleaving(args.interleaving)
-        .scale(scale)
+        .scale(args.scale)
         .seed(args.seed)
-}
-
-fn build_trace(args: &SimArgs, tenants: u32, scale: u64) -> hypersio_trace::HyperTrace {
-    trace_builder(args, tenants, scale).build()
 }
 
 /// Loads and parses `--fault-plan` (if given) and layers the command-line
@@ -127,24 +121,26 @@ fn load_fault_plan(args: &SimArgs) -> Result<FaultPlan, SimError> {
     args.assemble_fault_plan(file_plan).map_err(SimError::from)
 }
 
+/// The `sim` command: one path for every flag combination. The parser
+/// has already rejected the combinations a path cannot honour (faults,
+/// time series, spans, or checkpoints with `--shards > 1`; time series or
+/// spans with checkpoint/resume).
+///
+/// With `--shards > 1` tenants are dealt round-robin across independent
+/// device queues, simulated on `--jobs` worker threads and merged
+/// deterministically (the merged report is bit-identical for any `--jobs`
+/// value). Otherwise the single queue runs under a [`RunControl`] built
+/// from the resilience flags — all off, and hence the plain run, when none
+/// is given.
 fn run_sim(args: &SimArgs) -> Result<(), SimError> {
-    if args.shards > 1 {
-        return run_sim_sharded(args);
-    }
-    if args.checkpoint_out.is_some() || args.resume_from.is_some() || args.rss_limit_mb.is_some() {
-        return run_sim_controlled(args);
-    }
     let config = args.config();
     println!("{config}");
-    let trace = build_trace(args, args.tenants, args.scale);
     let params = args.params().with_fault_plan(load_fault_plan(args)?);
+    let builder = trace_builder(args);
 
     // Observers are only constructed when their output was requested, so
-    // the default path runs the fully uninstrumented (NullObserver) loop.
-    let mut ring = args
-        .trace_out
-        .as_ref()
-        .map(|_| RingRecorder::new(args.trace_cap));
+    // a run without outputs is the fully uninstrumented (NullObserver)
+    // loop.
     let mut series = args.timeseries_out.as_ref().map(|_| {
         TimeSeriesSampler::new(
             args.window_us * 1_000_000,
@@ -153,7 +149,6 @@ fn run_sim(args: &SimArgs) -> Result<(), SimError> {
             config.ptb_entries as u64,
         )
     });
-
     // The span collector is per-tenant aware only when --per-tenant was
     // given, mirroring the report's own per-tenant gating.
     let mut spans = args.spans_out.as_ref().map(|_| {
@@ -165,31 +160,112 @@ fn run_sim(args: &SimArgs) -> Result<(), SimError> {
         }
     });
 
-    let sim = Simulation::new(config, params, trace);
-    let mut report = match (ring.as_mut(), series.as_mut(), spans.as_mut()) {
-        (None, None, None) => sim.run(),
-        (Some(r), None, None) => sim.run_with(r),
-        (None, Some(t), None) => sim.run_with(t),
-        (None, None, Some(s)) => sim.run_with(s),
-        (Some(r), Some(t), None) => sim.run_with(&mut (r, t)),
-        (Some(r), None, Some(s)) => sim.run_with(&mut (r, s)),
-        (None, Some(t), Some(s)) => sim.run_with(&mut (t, s)),
-        (Some(r), Some(t), Some(s)) => sim.run_with(&mut (r, (t, s))),
-    };
-    // Attach the breakdown before any rendering so the printed report and
-    // the JSON file agree.
-    if let Some(collector) = spans.as_ref() {
-        report.latency_breakdown = Some(collector.attribution().clone());
-    }
-    println!("{report}");
-
-    if let (Some(path), Some(ring)) = (args.trace_out.as_ref(), ring.as_ref()) {
-        write_file(path, |w| ring.write_jsonl(w))?;
-        eprintln!(
-            "wrote event trace to {path} ({} events, {} overwritten)",
-            ring.len(),
-            ring.overwritten()
+    let (outcome, rings) = if args.shards > 1 {
+        println!(
+            "{} shards x {} worker thread(s)",
+            args.shards,
+            args.jobs.min(args.shards as usize)
         );
+        // Supervision is armed by either flag; a bare --fail-shard still
+        // gets a retry budget so the injected panic is survivable.
+        let supervised = args.max_shard_attempts.is_some() || args.fail_shard.is_some();
+        let run = ShardRun {
+            shards: args.shards,
+            jobs: args.jobs,
+            record: args.trace_out.as_ref().map(|_| args.trace_cap),
+            max_attempts: args
+                .max_shard_attempts
+                .unwrap_or(if supervised { 3 } else { 1 }),
+            // Supervised workers snapshot in memory at this cadence so a
+            // retry resumes mid-shard instead of replaying from the start.
+            checkpoint_every: supervised.then(|| SimDuration::from_us(100)),
+            fail_shard_once: args.fail_shard,
+        };
+        let (report, rings) = run_sharded(&config, &params, &builder, &run)?;
+        (RunOutcome::Completed(Box::new(report)), rings)
+    } else {
+        let mut sim = Simulation::new(config, params, builder.build());
+        if let Some(path) = args.resume_from.as_ref() {
+            let bytes = std::fs::read(path).map_err(|source| SimError::Io {
+                path: path.clone(),
+                source,
+            })?;
+            sim.resume_from_bytes(&bytes)
+                .map_err(|source| SimError::Checkpoint {
+                    path: path.clone(),
+                    source,
+                })?;
+            eprintln!("resumed from checkpoint {path}");
+        }
+        let ckpt_path = args.checkpoint_out.as_ref();
+        if ckpt_path.is_some() {
+            sigint::install();
+        }
+        let mut sink = |bytes: Vec<u8>| {
+            let path = ckpt_path.expect("sink armed only with a path");
+            if let Err(err) = write_atomically(path, &bytes) {
+                // A failed periodic snapshot must not kill a healthy run;
+                // the previous checkpoint (if any) is still intact on disk.
+                eprintln!("warning: could not write checkpoint {path}: {err}");
+            }
+        };
+        let stop = sigint::pending;
+        let mut ctl = RunControl {
+            checkpoint_every: args.checkpoint_every_us.map(SimDuration::from_us),
+            checkpoint_sink: ckpt_path.is_some().then_some(&mut sink as _),
+            stop: ckpt_path.is_some().then_some(&stop as _),
+            stop_after: args.stop_after_us.map(SimDuration::from_us),
+            rss_limit_bytes: args.rss_limit_mb.map(|mb| mb << 20),
+            panic_after_frames: None,
+        };
+        let mut ring = args
+            .trace_out
+            .as_ref()
+            .map(|_| RingRecorder::new(args.trace_cap));
+        let outcome = if ring.is_none() && series.is_none() && spans.is_none() {
+            sim.run_controlled(&mut NullObserver, &mut ctl)
+        } else {
+            let mut obs = (ring.as_mut(), (series.as_mut(), spans.as_mut()));
+            sim.run_controlled(&mut obs, &mut ctl)
+        };
+        (outcome, ring.into_iter().collect())
+    };
+
+    let report = match outcome {
+        RunOutcome::Completed(mut report) => {
+            // Attach the breakdown before any rendering so the printed
+            // report and the JSON file agree.
+            if let Some(collector) = spans.as_ref() {
+                report.latency_breakdown = Some(collector.attribution().clone());
+            }
+            println!("{report}");
+            Some(report)
+        }
+        RunOutcome::Interrupted { checkpoint } => {
+            let path = args
+                .checkpoint_out
+                .as_ref()
+                .expect("interruption is only armed with --checkpoint-out");
+            write_atomically(path, &checkpoint).map_err(|source| SimError::Io {
+                path: path.clone(),
+                source,
+            })?;
+            eprintln!(
+                "interrupted: checkpoint written to {path}; continue with \
+                 --resume-from {path} (and the same run flags)"
+            );
+            None
+        }
+    };
+
+    // An interrupted run still writes the events recorded so far: together
+    // with the resumed run's trace they form exactly the uninterrupted
+    // stream (part one ends at the checkpointed frame boundary).
+    if let Some(path) = args.trace_out.as_ref() {
+        write_file(path, |w| write_jsonl_many(&rings, w))?;
+        let recorded: usize = rings.iter().map(RingRecorder::len).sum();
+        let overwritten: u64 = rings.iter().map(RingRecorder::overwritten).sum();
+        eprintln!("wrote event trace to {path} ({recorded} events, {overwritten} overwritten)");
     }
     if let (Some(path), Some(series)) = (args.timeseries_out.as_ref(), series.as_ref()) {
         let body = if path.ends_with(".json") {
@@ -211,108 +287,9 @@ fn run_sim(args: &SimArgs) -> Result<(), SimError> {
             collector.overwritten()
         );
     }
-    if let Some(path) = args.report_json.as_ref() {
+    if let (Some(report), Some(path)) = (report, args.report_json.as_ref()) {
         write_file(path, |w| w.write_all(report.to_json().as_bytes()))?;
         eprintln!("wrote report JSON to {path}");
-    }
-    Ok(())
-}
-
-/// The checkpoint/resume path of `sim` (single queue; the parser rejects
-/// combinations the controlled loop cannot snapshot). With none of the
-/// resilience flags set this function is never reached, so the default
-/// path stays byte-identical to earlier versions.
-fn run_sim_controlled(args: &SimArgs) -> Result<(), SimError> {
-    let config = args.config();
-    println!("{config}");
-    let trace = build_trace(args, args.tenants, args.scale);
-    let params = args.params().with_fault_plan(load_fault_plan(args)?);
-    let mut ring = args
-        .trace_out
-        .as_ref()
-        .map(|_| RingRecorder::new(args.trace_cap));
-
-    let mut sim = Simulation::new(config, params, trace);
-    if let Some(path) = args.resume_from.as_ref() {
-        let bytes = std::fs::read(path).map_err(|source| SimError::Io {
-            path: path.clone(),
-            source,
-        })?;
-        sim.resume_from_bytes(&bytes)
-            .map_err(|source| SimError::Checkpoint {
-                path: path.clone(),
-                source,
-            })?;
-        eprintln!("resumed from checkpoint {path}");
-    }
-
-    let ckpt_path = args.checkpoint_out.clone();
-    if ckpt_path.is_some() {
-        sigint::install();
-    }
-    let mut sink = |bytes: Vec<u8>| {
-        let path = ckpt_path.as_ref().expect("sink armed only with a path");
-        if let Err(err) = write_atomically(path, &bytes) {
-            // A failed periodic snapshot must not kill a healthy run; the
-            // previous checkpoint (if any) is still intact on disk.
-            eprintln!("warning: could not write checkpoint {path}: {err}");
-        }
-    };
-    let stop = sigint::pending;
-    let mut ctl = RunControl {
-        checkpoint_every: args.checkpoint_every_us.map(SimDuration::from_us),
-        checkpoint_sink: args.checkpoint_out.is_some().then_some(&mut sink as _),
-        stop: args.checkpoint_out.is_some().then_some(&stop as _),
-        stop_after: args.stop_after_us.map(SimDuration::from_us),
-        rss_limit_bytes: args.rss_limit_mb.map(|mb| mb << 20),
-        panic_after_frames: None,
-    };
-    let outcome = match ring.as_mut() {
-        None => sim.run_controlled(&mut NullObserver, &mut ctl),
-        Some(r) => sim.run_controlled(r, &mut ctl),
-    };
-
-    match outcome {
-        RunOutcome::Completed(report) => {
-            println!("{report}");
-            if let (Some(path), Some(ring)) = (args.trace_out.as_ref(), ring.as_ref()) {
-                write_file(path, |w| ring.write_jsonl(w))?;
-                eprintln!(
-                    "wrote event trace to {path} ({} events, {} overwritten)",
-                    ring.len(),
-                    ring.overwritten()
-                );
-            }
-            if let Some(path) = args.report_json.as_ref() {
-                write_file(path, |w| w.write_all(report.to_json().as_bytes()))?;
-                eprintln!("wrote report JSON to {path}");
-            }
-        }
-        RunOutcome::Interrupted { checkpoint } => {
-            let path = args
-                .checkpoint_out
-                .as_ref()
-                .expect("interruption is only armed with --checkpoint-out");
-            write_atomically(path, &checkpoint).map_err(|source| SimError::Io {
-                path: path.clone(),
-                source,
-            })?;
-            // The events recorded so far still go out: together with the
-            // resumed run's trace they form exactly the uninterrupted
-            // stream (part one ends at the checkpointed frame boundary).
-            if let (Some(tpath), Some(ring)) = (args.trace_out.as_ref(), ring.as_ref()) {
-                write_file(tpath, |w| ring.write_jsonl(w))?;
-                eprintln!(
-                    "wrote event trace to {tpath} ({} events, {} overwritten)",
-                    ring.len(),
-                    ring.overwritten()
-                );
-            }
-            eprintln!(
-                "interrupted: checkpoint written to {path}; continue with \
-                 --resume-from {path} (and the same run flags)"
-            );
-        }
     }
     Ok(())
 }
@@ -323,77 +300,6 @@ fn write_atomically(path: &str, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = format!("{path}.tmp");
     std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, path)
-}
-
-/// The `--shards > 1` path: tenants are dealt round-robin across
-/// independent device queues, simulated on `--jobs` worker threads and
-/// merged deterministically (the merged report is bit-identical for any
-/// `--jobs` value). The parser has already rejected the combinations the
-/// shard runner cannot honour (fault injection, time series).
-fn run_sim_sharded(args: &SimArgs) -> Result<(), SimError> {
-    let config = args.config();
-    println!("{config}");
-    println!(
-        "{} shards x {} worker thread(s)",
-        args.shards,
-        args.jobs.min(args.shards as usize)
-    );
-    let params = args.params();
-    let builder = trace_builder(args, args.tenants, args.scale);
-
-    // Supervision is armed by either flag; a bare --fail-shard still gets
-    // the default retry budget so the injected panic is survivable.
-    let supervision = (args.max_shard_attempts.is_some() || args.fail_shard.is_some()).then(|| {
-        ShardSupervision {
-            max_attempts: args.max_shard_attempts.unwrap_or(3),
-            // Workers snapshot in memory at this cadence so a retry
-            // resumes mid-shard instead of replaying from the start.
-            checkpoint_every: Some(SimDuration::from_us(100)),
-            fail_shard_once: args.fail_shard,
-        }
-    });
-
-    let report: SimReport;
-    if let Some(path) = args.trace_out.as_ref() {
-        let (merged, rings) = match supervision.as_ref() {
-            None => run_sharded_recorded(
-                &config,
-                &params,
-                &builder,
-                args.shards,
-                args.jobs,
-                args.trace_cap,
-            )?,
-            Some(sup) => run_sharded_recorded_supervised(
-                &config,
-                &params,
-                &builder,
-                args.shards,
-                args.jobs,
-                args.trace_cap,
-                sup,
-            )?,
-        };
-        write_file(path, |w| write_jsonl_many(&rings, w))?;
-        let recorded: usize = rings.iter().map(RingRecorder::len).sum();
-        let overwritten: u64 = rings.iter().map(RingRecorder::overwritten).sum();
-        eprintln!("wrote event trace to {path} ({recorded} events, {overwritten} overwritten)");
-        report = merged;
-    } else {
-        report = match supervision.as_ref() {
-            None => run_sharded(&config, &params, &builder, args.shards, args.jobs)?,
-            Some(sup) => {
-                run_sharded_supervised(&config, &params, &builder, args.shards, args.jobs, sup)?
-            }
-        };
-    }
-    println!("{report}");
-
-    if let Some(path) = args.report_json.as_ref() {
-        write_file(path, |w| w.write_all(report.to_json().as_bytes()))?;
-        eprintln!("wrote report JSON to {path}");
-    }
-    Ok(())
 }
 
 /// Writes a file through the closure, mapping I/O failures to [`SimError`].
@@ -431,7 +337,7 @@ fn run_sweep(args: &SimArgs) {
 }
 
 fn run_trace(args: &SimArgs) {
-    let trace = build_trace(args, args.tenants, args.scale);
+    let trace = trace_builder(args).build();
     println!(
         "{} tenants, {} interleaving, scale {}",
         trace.tenants(),

@@ -7,7 +7,7 @@
 //! repeated runs.
 
 use hypertrio::core::TranslationConfig;
-use hypertrio::sim::{run_sharded, SimParams, Simulation, WalkGeometry};
+use hypertrio::sim::{run_sharded, ShardRun, SimParams, Simulation, WalkGeometry};
 use hypertrio::trace::{HyperTraceBuilder, Interleaving, WorkloadKind};
 
 fn trace(kind: WorkloadKind, tenants: u32, scale: u64, seed: u64) -> hypertrio::trace::HyperTrace {
@@ -108,11 +108,19 @@ fn riscv_sharded_runs_are_jobs_invariant() {
             .seed(11);
         let config = TranslationConfig::hypertrio();
         let params = SimParams::paper().with_arch(g).with_warmup(200);
-        let serial = run_sharded(&config, &params, &builder, 4, 1).expect("valid sharded run");
-        let threaded = run_sharded(&config, &params, &builder, 4, 4).expect("valid sharded run");
+        let merged = |jobs| {
+            let run = ShardRun {
+                shards: 4,
+                jobs,
+                ..ShardRun::default()
+            };
+            run_sharded(&config, &params, &builder, &run)
+                .expect("valid sharded run")
+                .0
+        };
         assert_eq!(
-            serial.to_json(),
-            threaded.to_json(),
+            merged(1).to_json(),
+            merged(4).to_json(),
             "{g} sharded merge depends on --jobs"
         );
     }
