@@ -35,9 +35,10 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bench::json;
+use bench::schema;
 use hypersio_sim::{SimParams, StageTimings, SweepSpec};
 use hypersio_trace::WorkloadKind;
+use hypersio_types::json;
 use hypertrio_core::TranslationConfig;
 
 /// The fixed sweep: the paper's hyper-tenant regimes. 128 tenants is the
@@ -149,7 +150,7 @@ fn validate_file(path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match json::validate_hotpath_schema(&doc) {
+    match schema::validate_hotpath_schema(&doc) {
         Ok(()) => {
             println!("{path}: schema bench_hotpath/v1 OK");
             ExitCode::SUCCESS
@@ -204,7 +205,7 @@ fn main() -> ExitCode {
                 // Only a schema-valid document may be embedded (lenient on
                 // `stages`: the baseline may predate per-stage timing).
                 match json::parse(&text).map_err(|e| e.to_string()).and_then(|d| {
-                    json::validate_hotpath_baseline(&d)?;
+                    schema::validate_hotpath_baseline(&d)?;
                     Ok(())
                 }) {
                     Ok(()) => Some(text),
@@ -251,7 +252,7 @@ fn main() -> ExitCode {
     }
     let doc = emit(&results, scale, warmup, baseline.as_deref());
     let parsed = json::parse(&doc).expect("harness emits valid JSON");
-    json::validate_hotpath_schema(&parsed).expect("harness output matches its own schema");
+    schema::validate_hotpath_schema(&parsed).expect("harness output matches its own schema");
     if let Err(e) = std::fs::write(&out_path, &doc) {
         eprintln!("bench_hotpath: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;

@@ -38,9 +38,10 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bench::json;
+use bench::schema;
 use hypersio_sim::{SimParams, Simulation};
 use hypersio_trace::{HyperTraceBuilder, WorkloadKind};
+use hypersio_types::json;
 use hypertrio_core::TranslationConfig;
 
 /// The tenant axis: three orders of magnitude past the paper's largest
@@ -118,7 +119,7 @@ fn validate_file(path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match json::validate_scale_schema(&doc) {
+    match schema::validate_scale_schema(&doc) {
         Ok(()) => {
             println!("{path}: schema bench_scale/v1 OK");
             ExitCode::SUCCESS
@@ -207,7 +208,7 @@ fn main() -> ExitCode {
     }
     let doc = emit(&points, reqs, warmup, budget_bytes);
     let parsed = json::parse(&doc).expect("harness emits valid JSON");
-    json::validate_scale_schema(&parsed).expect("harness output matches its own schema");
+    schema::validate_scale_schema(&parsed).expect("harness output matches its own schema");
     if let Err(e) = std::fs::write(&out_path, &doc) {
         eprintln!("bench_scale: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;

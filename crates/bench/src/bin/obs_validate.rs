@@ -22,11 +22,11 @@
 
 use std::process::ExitCode;
 
-use bench::json::{
-    self, validate_checkpoint, validate_events_jsonl, validate_hotpath_schema,
-    validate_report_schema, validate_scale_schema, validate_spans_schema,
-    validate_timeseries_schema,
+use bench::schema::{
+    validate_checkpoint, validate_events_jsonl, validate_hotpath_schema, validate_report_schema,
+    validate_scale_schema, validate_spans_schema, validate_timeseries_schema,
 };
+use hypersio_types::json::{self, Json};
 
 /// The time-series CSV header pinned by `TimeSeriesSampler::to_csv`.
 const TIMESERIES_CSV_HEADER: &str = "window_start_us,packets,drops,gbps,utilization,\
@@ -74,7 +74,7 @@ fn validate_file(path: &str) -> Result<&'static str, String> {
         return validate_timeseries_csv(&text).map(|()| "time-series CSV");
     }
     let doc = json::parse(&text).map_err(|e| e.to_string())?;
-    match doc.get("schema").and_then(json::Json::as_str) {
+    match doc.get("schema").and_then(Json::as_str) {
         Some("sim_report/v1") => {
             validate_report_schema(&doc).map(|()| "simulation report (sim_report/v1)")
         }

@@ -16,7 +16,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
+pub mod schema;
 
 use std::fmt::Display;
 use std::time::Instant;

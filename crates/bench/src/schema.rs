@@ -1,329 +1,16 @@
-//! Minimal JSON support for the benchmark harness.
+//! Schema validators for the JSON files the simulator and the benchmark
+//! harness write.
 //!
-//! The workspace deliberately has no external dependencies, so the
-//! `BENCH_*.json` files emitted by the wall-clock harness are written with
-//! plain format strings and checked with this hand-rolled parser. It covers
-//! the full JSON grammar (objects, arrays, strings with escapes, numbers,
-//! booleans, null) — enough to validate harness output in CI and to embed
-//! one document inside another (baseline merging).
+//! Each `validate_*` function pins the *shape* of one output format —
+//! `bench_hotpath/v1`, `bench_scale/v1`, `sim_report/v1`,
+//! `hypersio-timeseries/v1`, `hypersio-events/v1`, `hypersio-spans/v1`
+//! and `hypersio-checkpoint/v2` — so a renamed field, a wrong type or
+//! broken framing fails CI (through `obs_validate`) rather than silently
+//! shipping. Documents are read with the workspace's one JSON parser,
+//! [`hypersio_types::json`]. Value thresholds are out of scope: CI runners
+//! are not comparable machines.
 
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (kept as `f64`; the harness only emits values that
-    /// round-trip at this precision).
-    Num(f64),
-    /// A string, with escapes decoded.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object. `BTreeMap` keeps key order deterministic for tests.
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Returns the object map if this value is an object.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Returns the array elements if this value is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Returns the string contents if this value is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Returns the numeric value if this value is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Returns the boolean value if this value is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Looks up `key` in an object value.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        self.as_obj().and_then(|m| m.get(key))
-    }
-}
-
-/// A parse failure, with a byte offset into the input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset at which parsing failed.
-    pub at: usize,
-    /// Human-readable reason.
-    pub msg: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.at, self.msg)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Parses a complete JSON document (trailing whitespace allowed).
-pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> ParseError {
-        ParseError {
-            at: self.pos,
-            msg: msg.to_string(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, ParseError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((code - 0xD800) << 10)
-                                        + (low.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(code)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // boundaries are valid by construction).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self
-                        .peek()
-                        .is_some_and(|b| b & 0xC0 == 0x80 && self.pos - start < 4)
-                    {
-                        self.pos += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, ParseError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(code)
-    }
-
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
-    }
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use hypersio_types::json::{parse, Json};
 
 /// Checks that `doc` matches the `bench_hotpath/v1` schema (see the
 /// `bench_hotpath` binary): required top-level fields, a non-empty `cases`
@@ -897,13 +584,16 @@ pub fn validate_checkpoint(bytes: &[u8]) -> Result<(), String> {
     let crc = checkpoint_hex(&doc, "crc")?;
     let words = doc
         .get("words")
-        .and_then(Json::as_num)
-        .ok_or("missing numeric field 'words'")? as u64;
+        .ok_or("missing numeric field 'words'")?
+        .as_u64()
+        .ok_or("'words' must be a non-negative integer")?;
     let body = &bytes[newline + 1..];
-    if body.len() as u64 != words * 8 {
+    let promised = words
+        .checked_mul(8)
+        .ok_or_else(|| format!("header promises {words} words, more than 2^64 bytes"))?;
+    if body.len() as u64 != promised {
         return Err(format!(
-            "header promises {words} words ({} bytes), body has {} bytes",
-            words * 8,
+            "header promises {words} words ({promised} bytes), body has {} bytes",
             body.len()
         ));
     }
@@ -919,49 +609,6 @@ pub fn validate_checkpoint(bytes: &[u8]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_scalars() {
-        assert_eq!(parse("null").unwrap(), Json::Null);
-        assert_eq!(parse("true").unwrap(), Json::Bool(true));
-        assert_eq!(parse(" -12.5e2 ").unwrap(), Json::Num(-1250.0));
-        assert_eq!(parse(r#""a\nb""#).unwrap(), Json::Str("a\nb".into()));
-    }
-
-    #[test]
-    fn parses_nested_structures() {
-        let doc = parse(r#"{"a": [1, {"b": "x"}, false], "c": {}}"#).unwrap();
-        assert_eq!(doc.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(
-            doc.get("a").unwrap().as_arr().unwrap()[1]
-                .get("b")
-                .unwrap()
-                .as_str(),
-            Some("x")
-        );
-        assert!(doc.get("c").unwrap().as_obj().unwrap().is_empty());
-    }
-
-    #[test]
-    fn parses_unicode_escapes() {
-        assert_eq!(parse(r#""é""#).unwrap(), Json::Str("é".into()));
-        // Surrogate pair (U+1F600).
-        assert_eq!(parse(r#""😀""#).unwrap(), Json::Str("😀".into()));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,]", "{\"a\" 1}", "nul", "\"unterminated", "1 2"] {
-            assert!(parse(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn escape_round_trips() {
-        let s = "line\n\"quoted\"\tand\\slash";
-        let parsed = parse(&format!("\"{}\"", escape(s))).unwrap();
-        assert_eq!(parsed, Json::Str(s.into()));
-    }
 
     fn valid_doc() -> String {
         r#"{
@@ -1383,6 +1030,16 @@ mod tests {
         let err = validate_checkpoint(as_text.replace("\"0x00000000deadbeef\"", "12").as_bytes())
             .unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
+        // A negative word count is not read as zero: with an empty body
+        // and the empty-body checksum it would otherwise validate.
+        let negative = as_text.replace("\"words\":0", "\"words\":-1");
+        assert_ne!(negative, as_text);
+        let err = validate_checkpoint(negative.as_bytes()).unwrap_err();
+        assert!(err.contains("words"), "{err}");
+        // A word count whose byte length overflows is an error, not a panic.
+        let huge = as_text.replace("\"words\":0", "\"words\":3e18");
+        let err = validate_checkpoint(huge.as_bytes()).unwrap_err();
+        assert!(err.contains("words"), "{err}");
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Round-trip test for the machine-readable observability outputs: a real
 //! simulation's `--report-json` / `--timeseries-out` / `--trace-out`
-//! payloads must parse with the harness's own JSON parser, validate against
+//! payloads must parse with the workspace's JSON parser, validate against
 //! their pinned schemas, and agree with the in-memory values.
 
-use bench::json::{
-    self, validate_events_jsonl, validate_report_schema, validate_timeseries_schema, Json,
-};
+use bench::schema::{validate_events_jsonl, validate_report_schema, validate_timeseries_schema};
 use hypersio_sim::{RingRecorder, SimParams, Simulation, TimeSeriesSampler};
 use hypersio_trace::{HyperTraceBuilder, WorkloadKind};
+use hypersio_types::json::{self, Json};
 use hypertrio_core::TranslationConfig;
 
 fn instrumented_run() -> (hypersio_sim::SimReport, RingRecorder, TimeSeriesSampler) {

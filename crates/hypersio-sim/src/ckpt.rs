@@ -26,10 +26,9 @@
 use std::fmt;
 
 use hypersio_cache::WordReader;
+use hypersio_types::json::{self, escape, Json};
 
-use crate::faults::plan_json::{self, Val};
 use crate::model::Simulation;
-use crate::report::escape;
 
 /// Schema tag of the checkpoint header line.
 pub const CHECKPOINT_SCHEMA: &str = "hypersio-checkpoint/v2";
@@ -103,29 +102,28 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// The header field `key`, or a [`CheckpointError::Header`] naming it.
-fn field<'a>(header: &'a Val, key: &str) -> Result<&'a Val, CheckpointError> {
+fn field<'a>(header: &'a Json, key: &str) -> Result<&'a Json, CheckpointError> {
     header
         .get(key)
         .ok_or_else(|| CheckpointError::Header(format!("missing field {key:?}")))
 }
 
 /// A string header field.
-fn str_field<'a>(header: &'a Val, key: &str) -> Result<&'a str, CheckpointError> {
-    match field(header, key)? {
-        Val::Str(s) => Ok(s),
-        _ => Err(CheckpointError::Header(format!(
-            "field {key:?} is not a string"
-        ))),
-    }
+fn str_field<'a>(header: &'a Json, key: &str) -> Result<&'a str, CheckpointError> {
+    field(header, key)?
+        .as_str()
+        .ok_or_else(|| CheckpointError::Header(format!("field {key:?} is not a string")))
 }
 
 /// A non-negative integer header field.
-fn u64_field(header: &Val, key: &str) -> Result<u64, CheckpointError> {
-    plan_json::u64_field(field(header, key)?, key).map_err(CheckpointError::Header)
+fn u64_field(header: &Json, key: &str) -> Result<u64, CheckpointError> {
+    field(header, key)?.as_u64().ok_or_else(|| {
+        CheckpointError::Header(format!("field {key:?} is not a non-negative integer"))
+    })
 }
 
 /// A `"0x..."` hexadecimal header field.
-fn hex_field(header: &Val, key: &str) -> Result<u64, CheckpointError> {
+fn hex_field(header: &Json, key: &str) -> Result<u64, CheckpointError> {
     str_field(header, key)?
         .strip_prefix("0x")
         .and_then(|digits| u64::from_str_radix(digits, 16).ok())
@@ -198,7 +196,7 @@ impl Simulation {
             .ok_or_else(|| CheckpointError::Header("no header line".into()))?;
         let header = std::str::from_utf8(&bytes[..newline])
             .map_err(|_| CheckpointError::Header("header is not UTF-8".into()))?;
-        let doc = plan_json::parse(header).map_err(CheckpointError::Header)?;
+        let doc = json::parse(header).map_err(|e| CheckpointError::Header(e.to_string()))?;
         let schema = str_field(&doc, "schema")?;
         if schema != CHECKPOINT_SCHEMA {
             return Err(CheckpointError::Header(format!(

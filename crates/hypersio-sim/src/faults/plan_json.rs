@@ -1,9 +1,10 @@
 //! The `fault_plan/v1` JSON file format.
 //!
-//! Fault plans are authored by hand (CI, experiments), so the loader is a
-//! self-contained minimal JSON reader with positional error messages — no
-//! dependency on the bench crate's validator (which sits *above* this
-//! crate) and no panics on malformed input.
+//! Fault plans are authored by hand (CI, experiments). The document is
+//! read with the workspace's one JSON parser ([`hypersio_types::json`]),
+//! so malformed input fails with a positional message and never panics;
+//! this module maps the parsed value onto a [`FaultPlan`] with one
+//! message per mistyped or out-of-range field.
 //!
 //! ```json
 //! {
@@ -21,251 +22,23 @@
 //! Every field except `schema` is optional and defaults to the
 //! [`FaultPlan::none`] value.
 
+use hypersio_types::json::{self, Json};
 use hypersio_types::{Did, SimDuration, SimTime};
 
 use super::{BackoffPolicy, ChurnEvent, FaultPlan, StormEvent};
 
-/// A parsed JSON value (only what the plan format and the checkpoint
-/// header need).
-pub(crate) enum Val {
-    Num(f64),
-    Str(String),
-    Bool(bool),
-    Null,
-    Arr(Vec<Val>),
-    Obj(Vec<(String, Val)>),
+fn num(val: &Json, context: &str) -> Result<f64, String> {
+    val.as_num()
+        .ok_or_else(|| format!("{context}: expected a number, got {}", val.type_name()))
 }
 
-impl Val {
-    pub(crate) fn get<'a>(&'a self, key: &str) -> Option<&'a Val> {
-        match self {
-            Val::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn type_name(&self) -> &'static str {
-        match self {
-            Val::Num(_) => "number",
-            Val::Str(_) => "string",
-            Val::Bool(_) => "boolean",
-            Val::Null => "null",
-            Val::Arr(_) => "array",
-            Val::Obj(_) => "object",
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Val, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Val::Str(self.string()?)),
-            Some(b't') => self.literal("true", Val::Bool(true)),
-            Some(b'f') => self.literal("false", Val::Bool(false)),
-            Some(b'n') => self.literal("null", Val::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.err(&format!("unexpected character '{}'", other as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, text: &str, val: Val) -> Result<Val, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(val)
-        } else {
-            Err(self.err(&format!("expected '{text}'")))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let code = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
-                                .and_then(|hex| std::str::from_utf8(hex).ok())
-                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| self.err("unsupported \\u escape"))?;
-                            out.push(code);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("unsupported string escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => return Err(self.err("raw control byte in string")),
-                Some(_) => {
-                    // Multi-byte UTF-8 passes through untouched; the input
-                    // is a &str, so the bytes are valid.
-                    let start = self.pos;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).expect(
-                        "slicing a str on byte values < 0x80 keeps UTF-8 boundaries intact",
-                    ));
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Val, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|n| n.is_finite())
-            .map(Val::Num)
-            .ok_or_else(|| self.err("malformed number"))
-    }
-
-    fn object(&mut self) -> Result<Val, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Val::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Val::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Val, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Val::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Val::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-}
-
-/// Parses one JSON document, with a positional message on malformed
-/// input.
-pub(crate) fn parse(text: &str) -> Result<Val, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let val = p.value()?;
-    if p.peek().is_some() {
-        return Err(p.err("trailing content after document"));
-    }
-    Ok(val)
-}
-
-fn num(val: &Val, context: &str) -> Result<f64, String> {
-    match val {
-        Val::Num(n) => Ok(*n),
-        other => Err(format!(
-            "{context}: expected a number, got {}",
-            other.type_name()
-        )),
-    }
-}
-
-pub(crate) fn u64_field(val: &Val, context: &str) -> Result<u64, String> {
+fn u64_field(val: &Json, context: &str) -> Result<u64, String> {
     let n = num(val, context)?;
-    if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-        return Err(format!(
-            "{context}: expected a non-negative integer, got {n}"
-        ));
-    }
-    Ok(n as u64)
+    val.as_u64()
+        .ok_or_else(|| format!("{context}: expected a non-negative integer below 2^64, got {n}"))
 }
 
-fn time_us(val: &Val, context: &str) -> Result<u64, String> {
+fn time_us(val: &Json, context: &str) -> Result<u64, String> {
     let n = num(val, context)?;
     if n < 0.0 {
         return Err(format!("{context}: time must be non-negative, got {n}"));
@@ -282,11 +55,11 @@ impl FaultPlan {
     /// wrong `schema` tag, mistyped fields, or values that fail
     /// [`FaultPlan::validate`].
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
-        let doc = parse(text)?;
-        match doc.get("schema") {
-            Some(Val::Str(s)) if s == "fault_plan/v1" => {}
-            Some(Val::Str(s)) => return Err(format!("unknown schema '{s}'")),
-            _ => return Err("missing string field 'schema'".to_string()),
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
+        match doc.get("schema").and_then(Json::as_str) {
+            Some("fault_plan/v1") => {}
+            Some(s) => return Err(format!("unknown schema '{s}'")),
+            None => return Err("missing string field 'schema'".to_string()),
         }
         let mut plan = FaultPlan::none();
         if let Some(v) = doc.get("seed") {
@@ -305,17 +78,17 @@ impl FaultPlan {
             plan.backoff = backoff(v)?;
         }
         if let Some(v) = doc.get("storms") {
-            let Val::Arr(items) = v else {
-                return Err(format!("storms: expected an array, got {}", v.type_name()));
-            };
+            let items = v
+                .as_arr()
+                .ok_or_else(|| format!("storms: expected an array, got {}", v.type_name()))?;
             for (i, item) in items.iter().enumerate() {
                 plan.storms.push(storm(item, i)?);
             }
         }
         if let Some(v) = doc.get("churns") {
-            let Val::Arr(items) = v else {
-                return Err(format!("churns: expected an array, got {}", v.type_name()));
-            };
+            let items = v
+                .as_arr()
+                .ok_or_else(|| format!("churns: expected an array, got {}", v.type_name()))?;
             for (i, item) in items.iter().enumerate() {
                 plan.churns.push(churn(item, i)?);
             }
@@ -325,9 +98,9 @@ impl FaultPlan {
     }
 }
 
-fn backoff(val: &Val) -> Result<BackoffPolicy, String> {
+fn backoff(val: &Json) -> Result<BackoffPolicy, String> {
     let mut b = BackoffPolicy::default();
-    if !matches!(val, Val::Obj(_)) {
+    if val.as_obj().is_none() {
         return Err(format!(
             "backoff: expected an object, got {}",
             val.type_name()
@@ -347,13 +120,13 @@ fn backoff(val: &Val) -> Result<BackoffPolicy, String> {
     Ok(b)
 }
 
-fn storm(val: &Val, index: usize) -> Result<StormEvent, String> {
+fn storm(val: &Json, index: usize) -> Result<StormEvent, String> {
     let context = format!("storms[{index}]");
     let at = val
         .get("at_us")
         .ok_or_else(|| format!("{context}: missing field 'at_us'"))
         .and_then(|v| time_us(v, &format!("{context}.at_us")))?;
-    let global = matches!(val.get("global"), Some(Val::Bool(true)));
+    let global = matches!(val.get("global"), Some(Json::Bool(true)));
     let did = match (global, val.get("did")) {
         (true, Some(_)) => {
             return Err(format!(
@@ -377,7 +150,7 @@ fn storm(val: &Val, index: usize) -> Result<StormEvent, String> {
     })
 }
 
-fn churn(val: &Val, index: usize) -> Result<ChurnEvent, String> {
+fn churn(val: &Json, index: usize) -> Result<ChurnEvent, String> {
     let context = format!("churns[{index}]");
     let at = val
         .get("at_us")
@@ -448,6 +221,8 @@ mod tests {
             r#"{"schema": "fault_plan/v1", }"#,
             r#"{"schema": "fault_plan/v1" "seed": 1}"#,
             r#"{"schema": 7}"#,
+            // A duplicate key is an error, not "first (or last) one wins".
+            r#"{"schema": "fault_plan/v1", "seed": 1, "seed": 2}"#,
         ] {
             let err = FaultPlan::from_json(bad).unwrap_err();
             assert!(!err.is_empty(), "{bad:?} must fail with a message");
@@ -468,6 +243,11 @@ mod tests {
         assert!(err.contains("seed"), "{err}");
         let err = FaultPlan::from_json(r#"{"schema": "fault_plan/v1", "seed": 1.5}"#).unwrap_err();
         assert!(err.contains("integer"), "{err}");
+        // 2^64 is one past u64::MAX, not a saturated u64::MAX.
+        let err =
+            FaultPlan::from_json(r#"{"schema": "fault_plan/v1", "seed": 18446744073709551616}"#)
+                .unwrap_err();
+        assert!(err.contains("seed"), "{err}");
         let err =
             FaultPlan::from_json(r#"{"schema": "fault_plan/v1", "fault_rate": 2.0}"#).unwrap_err();
         assert!(err.contains("fault_rate"), "{err}");

@@ -10,6 +10,7 @@ use hypersio_obs::{ComponentSums, LatencyAttribution};
 use crate::latency::LatencyStats;
 use crate::per_tenant::PerTenantReport;
 use hypersio_trace::{Interleaving, WorkloadKind};
+use hypersio_types::json::escape;
 use hypersio_types::{Bandwidth, Bytes, SimDuration};
 
 /// The results of one simulation run.
@@ -299,26 +300,6 @@ fn latency_json(out: &mut String, stats: &LatencyStats) {
         stats.p99().as_ps(),
         stats.max().as_ps()
     );
-}
-
-/// Escapes a string for embedding in a JSON literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl fmt::Display for SimReport {

@@ -28,6 +28,7 @@ mod addr;
 mod bandwidth;
 pub mod fxhash;
 mod id;
+pub mod json;
 mod rng;
 mod time;
 
