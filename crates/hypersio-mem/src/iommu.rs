@@ -276,33 +276,6 @@ impl Iommu {
         }
     }
 
-    /// Translates a batch of gIOVAs for one requester, exactly as
-    /// sequential [`Self::translate`] calls at `now`, `now + 1`, … would:
-    /// results land in `out` (cleared first) in request order, and all
-    /// cache state, statistics, and latencies are bit-identical to the
-    /// scalar sequence. Batching pays off inside the walker: the nested
-    /// walk-cache probes of the batch's outstanding walks run back-to-back
-    /// over warm cache state, and duplicate functional traversals coalesce
-    /// in the walk memo.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `did` is out of range for the configured tenant spaces.
-    pub fn translate_batch(
-        &mut self,
-        sid: Sid,
-        did: Did,
-        iovas: &[GIova],
-        now: u64,
-        out: &mut Vec<Result<IommuResponse, TranslationFault>>,
-    ) {
-        out.clear();
-        out.reserve(iovas.len());
-        for (i, &iova) in iovas.iter().enumerate() {
-            out.push(self.translate(sid, did, iova, now + i as u64));
-        }
-    }
-
     /// Clears all caching state (walk caches and context cache contents),
     /// as after a global invalidation. Statistics are kept.
     pub fn flush(&mut self) {
@@ -535,37 +508,6 @@ mod tests {
         assert_eq!(m.stats().dram_accesses, 21 + 4);
         assert_eq!(m.dram_accesses(), 21 + 4);
         assert_eq!(m.stats().requests, 2);
-    }
-
-    #[test]
-    fn translate_batch_matches_sequential_translates() {
-        let iovas: Vec<GIova> = [
-            0xbbe0_0000u64,
-            0x3480_0000,
-            0xbbe0_0000, // duplicate: coalesces in the memo
-            0xbbe0_4242,
-            0x1, // fault mid-batch
-            0x3480_0000,
-        ]
-        .iter()
-        .map(|&a| GIova::new(a))
-        .collect();
-
-        let mut scalar = iommu(1);
-        let want: Vec<_> = iovas
-            .iter()
-            .enumerate()
-            .map(|(i, &iova)| scalar.translate(Sid::new(0), Did::new(0), iova, 100 + i as u64))
-            .collect();
-
-        let mut batched = iommu(1);
-        let mut got = Vec::new();
-        batched.translate_batch(Sid::new(0), Did::new(0), &iovas, 100, &mut got);
-
-        assert_eq!(got, want);
-        assert_eq!(batched.stats(), scalar.stats());
-        assert_eq!(batched.walk_cache_stats(), scalar.walk_cache_stats());
-        assert_eq!(batched.dram_accesses(), scalar.dram_accesses());
     }
 
     fn budgeted_iommu(tenants: u32, resident: usize) -> Iommu {

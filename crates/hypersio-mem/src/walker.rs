@@ -101,9 +101,9 @@ fn host_walk_reads(space: &TenantSpace) -> u64 {
 
 /// Memo coalescing the *functional* radix traversals of concurrent walks.
 ///
-/// Walks to the same page — duplicate in-flight misses within a request
-/// batch, or the repeated nested host walks a single guest walk issues for
-/// PTEs sharing a host page — coalesce into one functional traversal whose
+/// Walks to the same page — repeated misses on one page across packets
+/// and tenants sharing a layout, or the repeated nested host walks a
+/// single guest walk issues for PTEs sharing a host page — coalesce into one functional traversal whose
 /// result (the guest PTE path, or the host page backing a gPA) is replayed
 /// for every requester. Because the paper's out-of-order completion
 /// semantics place no ordering constraint between concurrent walks, sharing

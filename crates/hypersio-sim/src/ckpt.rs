@@ -150,7 +150,7 @@ impl Simulation {
     }
 
     /// Encodes this run's full mutable state as a `hypersio-checkpoint/v2`
-    /// file image. Only meaningful at a batch-frame boundary — which is
+    /// file image. Only meaningful at a frame boundary — which is
     /// the only place the run loop ([`Simulation::run_controlled`]) calls
     /// it.
     pub fn checkpoint_bytes(&self) -> Vec<u8> {

@@ -2,9 +2,9 @@
 //! cooperative interruption, and the RSS watchdog.
 //!
 //! A [`RunControl`] is polled by the simulation's one run loop
-//! ([`Simulation::run_controlled`]) at every batch-frame boundary — the
-//! only point where the pipeline's per-packet scratch state is quiescent
-//! and a checkpoint is well-defined (see `DESIGN.md` §16). Every knob
+//! ([`Simulation::run_controlled`]) at every frame boundary — the
+//! only point where no packet is between pipeline stages and a
+//! checkpoint is well-defined (see `DESIGN.md` §16). Every knob
 //! defaults to off; [`Simulation::run`], [`Simulation::run_with`] and
 //! [`Simulation::run_timed`] are that loop under an all-default control.
 //!
@@ -17,7 +17,7 @@ use hypersio_types::SimDuration;
 
 use crate::report::SimReport;
 
-/// How many batch frames pass between RSS watchdog polls. Reading
+/// How many frames pass between RSS watchdog polls. Reading
 /// `/proc/self/status` is cheap but not free. A frame is 8 loop
 /// iterations, and each iteration consumes at least one arrival slot (a
 /// fast-forwarded drop spin consumes many), so consecutive polls are at

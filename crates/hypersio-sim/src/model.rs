@@ -3,8 +3,10 @@
 //! There is one loop, behind [`Simulation::run_controlled`]: a short
 //! orchestrator that moves each arrival slot through the five pipeline
 //! stages of [`crate::pipeline`] and polls its [`RunControl`] between
-//! batch frames. [`Simulation::run`], [`Simulation::run_with`] and
-//! [`Simulation::run_timed`] are that loop under an all-default control.
+//! frames of arrival slots. [`Simulation::run`], [`Simulation::run_with`]
+//! and [`Simulation::run_timed`] are that loop under an all-default
+//! control. Each packet's three translation requests are probed, and its
+//! misses walked, one at a time in request order, as in §IV-C.
 //! The stages own all mutable run state ([`PipelineState`]); this module
 //! owns only construction, the loop, and the final report assembly.
 
@@ -42,7 +44,7 @@ pub struct StageTimings {
     pub arrival_ns: u64,
     /// Prefetch stage: fill delivery, observation/issue, history updates.
     pub prefetch_ns: u64,
-    /// Lookup stage: the batched DevTLB/PB probe.
+    /// Lookup stage: the per-request DevTLB/PB probe.
     pub lookup_ns: u64,
     /// Walk stage: PTB admission/scheduling and IOMMU translation.
     pub walk_ns: u64,
@@ -57,7 +59,7 @@ impl StageTimings {
     }
 }
 
-/// Arrival slots per batch frame of the run loop. Frame boundaries are the
+/// Arrival slots per frame of the run loop. Frame boundaries are the
 /// only points where [`RunControl`] is polled and a checkpoint can be
 /// taken; the length never changes simulated behaviour.
 const FRAME_LEN: usize = 8;
@@ -202,10 +204,11 @@ impl Simulation {
     }
 
     /// Appends the run's full mutable state to `out` — everything the
-    /// packet loop owns, in pipeline order. Only valid at a batch-frame
-    /// boundary, where the per-packet scratch buffers are quiescent;
-    /// everything not captured here is re-derived bit-identically at
-    /// construction (page tables, SID map, fault schedule, walk memo).
+    /// packet loop owns, in pipeline order. Only valid at a frame
+    /// boundary, where no packet is between stages (a dropped one is
+    /// parked in the arrival stage and captured there); everything not
+    /// captured here is re-derived bit-identically at construction (page
+    /// tables, SID map, fault schedule, walk memo).
     pub(crate) fn snapshot_words(&self, out: &mut Vec<u64>) {
         let st = &self.state;
         st.clock.snapshot_words(out);
@@ -276,7 +279,7 @@ impl Simulation {
 
     /// Runs the trace under a [`RunControl`]: periodic checkpoints,
     /// cooperative interruption, and the RSS watchdog, all evaluated at
-    /// batch-frame boundaries (the only quiescent points; see
+    /// frame boundaries (the only quiescent points; see
     /// `DESIGN.md` §16).
     ///
     /// Every other `run*` method is this loop under an all-default
@@ -306,14 +309,13 @@ impl Simulation {
     /// The run loop — the only one — monomorphized over the observer and
     /// the timing instrumentation so both compile away when unused.
     ///
-    /// Arrival slots are processed in batch frames of [`FRAME_LEN`] slots,
-    /// and `ctl` is polled at each frame boundary. Within a frame
-    /// the packets still chain through the stages in exact arrival order
-    /// — a packet's DevTLB installs and PTB occupancy must be visible to
-    /// the next packet's probe and admission — so the frame length never
-    /// changes simulated behaviour; the batch dimension that pays is
-    /// *within* each packet, where the request vector probes the
-    /// DevTLB/PB as one batch and the miss subset translates as one batch.
+    /// Arrival slots are processed in frames of [`FRAME_LEN`] slots, and
+    /// `ctl` is polled at each frame boundary. Within a frame the packets
+    /// chain through the stages in exact arrival order — a packet's
+    /// DevTLB installs and PTB occupancy must be visible to the next
+    /// packet's probe and admission — and each packet's three requests are
+    /// probed, then its misses walked, one at a time in request order
+    /// (§IV-C), so the frame length never changes simulated behaviour.
     fn run_frames<O: Observer, const TIMED: bool>(
         mut self,
         obs: &mut O,
@@ -375,10 +377,10 @@ impl Simulation {
         }
     }
 
-    /// Runs one batch frame (up to [`FRAME_LEN`] arrival slots); returns
+    /// Runs one frame (up to [`FRAME_LEN`] arrival slots); returns
     /// `true` once the trace is exhausted. Between calls the pipeline is
-    /// quiescent — no per-packet scratch state is live — which is what
-    /// makes the frame boundary the checkpoint point.
+    /// quiescent — no packet is between stages — which is what makes the
+    /// frame boundary the checkpoint point.
     fn run_frame<O: Observer, const TIMED: bool>(
         &mut self,
         obs: &mut O,
@@ -391,7 +393,7 @@ impl Simulation {
         let spans = O::SPANS && obs.wants_spans();
         let mut mark = None;
         {
-            // One batch frame: up to `FRAME_LEN` arrival slots.
+            // One frame: up to `FRAME_LEN` arrival slots.
             for _ in 0..FRAME_LEN {
                 let now = st.arrival.slot_time();
                 if TIMED {
@@ -487,8 +489,6 @@ impl Simulation {
                     if !st.lookup.bypass() && inj.packet_blocked(&work.packet, now, obs) {
                         if work.fault_retries >= inj.max_retries() {
                             st.completion.record_faulted_drop(work.packet.did, now, obs);
-                            let Deferred { misses, .. } = work;
-                            st.lookup.reclaim(misses);
                         } else {
                             st.completion.record_drop(work.packet.did, now, obs);
                             if spans {
@@ -543,12 +543,10 @@ impl Simulation {
                 lap::<TIMED>(&mut mark, &mut timings.prefetch_ns);
                 let Deferred {
                     packet,
-                    misses,
                     fault_retries,
                     span,
                     ..
                 } = work;
-                st.lookup.reclaim(misses);
                 st.completion
                     .record_complete(packet.did, now, completion, obs);
                 if spans {

@@ -97,6 +97,40 @@ impl SpanSeed {
     }
 }
 
+/// The requests of one packet that missed both the DevTLB and the
+/// Prefetch Buffer, in request order. A packet issues exactly three
+/// translation requests, so the list is inline.
+pub(crate) struct Misses {
+    iovas: [GIova; 3],
+    len: u8,
+}
+
+impl Default for Misses {
+    fn default() -> Self {
+        Misses {
+            iovas: [GIova::new(0); 3],
+            len: 0,
+        }
+    }
+}
+
+impl Misses {
+    /// Appends a missed request.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the packet already holds three misses.
+    pub(crate) fn push(&mut self, iova: GIova) {
+        self.iovas[usize::from(self.len)] = iova;
+        self.len += 1;
+    }
+
+    /// The missed requests, in request order.
+    pub(crate) fn as_slice(&self) -> &[GIova] {
+        &self.iovas[..usize::from(self.len)]
+    }
+}
+
 /// A packet waiting for retry after a drop, with its pre-computed
 /// translation outcome (lookups are performed once per packet so that
 /// oracle replacement sees each request exactly once).
@@ -104,7 +138,7 @@ pub(crate) struct Deferred {
     /// The packet occupying the retry slot.
     pub(crate) packet: TracePacket,
     /// Requests that missed both the DevTLB and the Prefetch Buffer.
-    pub(crate) misses: Vec<GIova>,
+    pub(crate) misses: Misses,
     /// Requests that hit the DevTLB or Prefetch Buffer; they still occupy
     /// a PTB slot for the hit latency (every in-flight translation is
     /// tracked, which is what gives the single-entry Base design its
@@ -123,8 +157,9 @@ impl Deferred {
     pub(crate) fn snapshot_words(&self, out: &mut Vec<u64>) {
         use hypersio_cache::WordCodec;
         self.packet.encode_words(out);
-        out.push(self.misses.len() as u64);
-        for iova in &self.misses {
+        let misses = self.misses.as_slice();
+        out.push(misses.len() as u64);
+        for iova in misses {
             iova.encode_words(out);
         }
         out.push(self.hits as u64);
@@ -134,16 +169,16 @@ impl Deferred {
 
     /// Decodes a deferred packet from a checkpoint stream. A packet issues
     /// exactly three translation requests, so more than three recorded
-    /// misses (or hits) is corruption.
+    /// hits and misses together is corruption.
     pub(crate) fn decode(r: &mut hypersio_cache::WordReader<'_>) -> Option<Self> {
         let packet: TracePacket = r.decode()?;
         let n = r.len_capped(3)?;
-        let mut misses = Vec::with_capacity(n);
+        let mut misses = Misses::default();
         for _ in 0..n {
             misses.push(r.decode::<GIova>()?);
         }
         let hits = u32::try_from(r.next()?).ok()?;
-        if hits > 3 {
+        if hits as usize + n > 3 {
             return None;
         }
         let fault_retries = u32::try_from(r.next()?).ok()?;
@@ -388,10 +423,46 @@ mod tests {
     fn deferred(packet: TracePacket) -> Deferred {
         Deferred {
             packet,
-            misses: Vec::new(),
+            misses: Misses::default(),
             hits: 0,
             fault_retries: 0,
             span: SpanSeed::default(),
+        }
+    }
+
+    /// A checkpointed deferred packet with `hits` hits and `misses` misses.
+    fn deferred_words(packet: TracePacket, hits: u64, misses: u64) -> Vec<u64> {
+        use hypersio_cache::WordCodec;
+        let mut words = Vec::new();
+        packet.encode_words(&mut words);
+        words.push(misses);
+        for i in 0..misses {
+            GIova::new(0x1000 * (i + 1)).encode_words(&mut words);
+        }
+        words.extend([hits, 0]);
+        SpanSeed::default().snapshot_words(&mut words);
+        words
+    }
+
+    #[test]
+    fn deferred_decode_rejects_more_than_three_requests() {
+        use hypersio_cache::WordReader;
+        let packet = tiny_trace().next().expect("trace is non-empty");
+        for (hits, misses) in [(0, 3), (1, 2), (3, 0), (0, 0)] {
+            let words = deferred_words(packet, hits, misses);
+            let work = Deferred::decode(&mut WordReader::new(&words))
+                .unwrap_or_else(|| panic!("{hits} hits + {misses} misses must decode"));
+            assert_eq!(work.hits as u64, hits);
+            assert_eq!(work.misses.as_slice().len() as u64, misses);
+        }
+        // Each count fits the cap on its own, but a packet never serves
+        // more than three translations.
+        for (hits, misses) in [(3, 3), (1, 3), (3, 1), (2, 2)] {
+            let words = deferred_words(packet, hits, misses);
+            assert!(
+                Deferred::decode(&mut WordReader::new(&words)).is_none(),
+                "{hits} hits + {misses} misses decoded"
+            );
         }
     }
 

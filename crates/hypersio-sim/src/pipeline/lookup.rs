@@ -6,7 +6,7 @@ use hypersio_trace::TracePacket;
 use hypersio_types::{Did, GIova, Sid, SimTime};
 use hypertrio_core::{DevTlb, TlbEntry};
 
-use super::arrival::SpanSeed;
+use super::arrival::{Misses, SpanSeed};
 use super::completion::CompletionStage;
 use super::prefetch::PrefetchStage;
 use super::{Deferred, ReqClock};
@@ -14,11 +14,7 @@ use crate::sid_map::SidMap;
 
 /// Stage 3 — one DevTLB/PB probe per translation request, once per packet.
 ///
-/// Owns the DevTLB, the translation-request counters, and the recycled
-/// per-packet miss list (packets arrive one at a time, so a single buffer
-/// serves every arrival without re-allocating; it travels inside the
-/// [`Deferred`] through admission and comes back via
-/// [`LookupStage::reclaim`]).
+/// Owns the DevTLB and the translation-request counters.
 ///
 /// Probes are performed exactly once per packet even across PTB-full
 /// retries, so oracle replacement sees each request exactly once. Native
@@ -32,16 +28,6 @@ pub(crate) struct LookupStage {
     bypass: bool,
     requests: u64,
     pb_served: u64,
-    /// Recycled per-packet miss list.
-    miss_buf: Vec<GIova>,
-    /// Recycled per-request DevTLB batch-probe results.
-    tlb_buf: Vec<Option<TlbEntry>>,
-    /// Recycled DevTLB-miss subset handed to the PB batch probe…
-    pb_iovas: Vec<GIova>,
-    /// …with its (non-contiguous) per-request ticks…
-    pb_nows: Vec<u64>,
-    /// …and the PB results coming back.
-    pb_buf: Vec<Option<TlbEntry>>,
 }
 
 impl LookupStage {
@@ -52,11 +38,6 @@ impl LookupStage {
             bypass,
             requests: 0,
             pb_served: 0,
-            miss_buf: Vec::new(),
-            tlb_buf: Vec::new(),
-            pb_iovas: Vec::new(),
-            pb_nows: Vec::new(),
-            pb_buf: Vec::new(),
         }
     }
 
@@ -69,14 +50,8 @@ impl LookupStage {
     /// DevTLB miss) the Prefetch Buffer, producing the packet's precomputed
     /// translation outcome for admission and service.
     ///
-    /// The packet's requests are probed as a batch: one DevTLB batch probe
-    /// over the request vector (a branch-light scan of the SoA tag rows),
-    /// then one PB batch probe over the DevTLB-miss subset at its original
-    /// request ticks. The DevTLB and PB share no state, so probing each
-    /// cache's requests back-to-back leaves every access — and hence every
-    /// statistic and replacement decision — identical to the interleaved
-    /// scalar sequence; events are then emitted in exact per-request order
-    /// from the buffered outcomes.
+    /// Requests are probed one at a time in request order, each at its own
+    /// request tick, and each request's events are emitted as it resolves.
     // Sibling stages are threaded explicitly — that is the pipeline's
     // interface style, not incidental parameter sprawl.
     #[allow(clippy::too_many_arguments)]
@@ -97,69 +72,44 @@ impl LookupStage {
             packet.did,
             "trace packet carries a foreign DID"
         );
-        let mut misses = std::mem::take(&mut self.miss_buf);
+        let mut misses = Misses::default();
         let mut hits = 0u32;
-        let n = packet.iovas.len();
-        self.requests += n as u64;
+        let n = packet.iovas.len() as u64;
+        self.requests += n;
         if self.bypass {
-            clock.advance(n as u64);
+            clock.advance(n);
         } else {
-            // One probe (= one tick) per request, in request order.
-            let req0 = clock.current();
-            clock.advance(n as u64);
-            self.tlb_buf.clear();
-            self.tlb_buf.resize(n, None);
-            self.devtlb.lookup_batch(
-                packet.sid,
-                packet.did,
-                &packet.iovas,
-                req0,
-                &mut self.tlb_buf,
-            );
-            self.pb_iovas.clear();
-            self.pb_nows.clear();
-            for (i, &iova) in packet.iovas.iter().enumerate() {
-                if self.tlb_buf[i].is_none() {
-                    self.pb_iovas.push(iova);
-                    self.pb_nows.push(req0 + i as u64);
-                }
-            }
-            // `false` means the design has no prefetch unit at all (no
-            // PbMiss events, matching the pinned-silent Base taxonomy).
-            let has_pb = prefetch.probe_buffer_batch(
-                packet.did,
-                &self.pb_iovas,
-                &self.pb_nows,
-                &mut self.pb_buf,
-            );
-            // Replay the buffered outcomes in per-request order.
-            let mut pb_idx = 0;
-            for (i, &iova) in packet.iovas.iter().enumerate() {
-                if self.tlb_buf[i].is_some() {
+            let did = packet.did;
+            for iova in packet.iovas {
+                let req = clock.tick();
+                if self.devtlb.lookup(packet.sid, did, iova, req).is_some() {
                     hits += 1;
                     if O::ENABLED {
-                        obs.record(now.as_ps(), Event::DevTlbHit { did: packet.did });
+                        obs.record(now.as_ps(), Event::DevTlbHit { did });
                     }
-                    tenants.note_devtlb(packet.did, true);
+                    tenants.note_devtlb(did, true);
                     continue;
                 }
                 if O::ENABLED {
-                    obs.record(now.as_ps(), Event::DevTlbMiss { did: packet.did });
+                    obs.record(now.as_ps(), Event::DevTlbMiss { did });
                 }
-                tenants.note_devtlb(packet.did, false);
-                let pb_hit = has_pb && self.pb_buf[pb_idx].is_some();
-                pb_idx += 1;
-                if pb_hit {
-                    self.pb_served += 1;
-                    hits += 1;
-                    if O::ENABLED {
-                        obs.record(now.as_ps(), Event::PbHit { did: packet.did });
+                tenants.note_devtlb(did, false);
+                // `None` means the design has no prefetch unit at all (no
+                // PbMiss events, matching the pinned-silent Base taxonomy).
+                match prefetch.probe_buffer(did, iova, req) {
+                    Some(true) => {
+                        self.pb_served += 1;
+                        hits += 1;
+                        if O::ENABLED {
+                            obs.record(now.as_ps(), Event::PbHit { did });
+                        }
+                        tenants.note_pb_hit(did);
+                        continue;
                     }
-                    tenants.note_pb_hit(packet.did);
-                    continue;
-                }
-                if has_pb && O::ENABLED {
-                    obs.record(now.as_ps(), Event::PbMiss { did: packet.did });
+                    Some(false) if O::ENABLED => {
+                        obs.record(now.as_ps(), Event::PbMiss { did });
+                    }
+                    _ => {}
                 }
                 misses.push(iova);
             }
@@ -205,12 +155,6 @@ impl LookupStage {
         }
     }
 
-    /// Takes the served packet's miss list back for the next arrival.
-    pub(crate) fn reclaim(&mut self, misses: Vec<GIova>) {
-        self.miss_buf = misses;
-        self.miss_buf.clear();
-    }
-
     /// Total translation requests (three per processed packet).
     pub(crate) fn requests(&self) -> u64 {
         self.requests
@@ -227,8 +171,7 @@ impl LookupStage {
     }
 
     /// Appends the stage's state for a run checkpoint: the DevTLB contents
-    /// and the request counters. The recycled probe buffers are scratch
-    /// space (rewritten before every use) and are not captured.
+    /// and the request counters.
     pub(crate) fn snapshot_words(&self, out: &mut Vec<u64>) {
         self.devtlb.snapshot_words(out);
         out.push(self.requests);

@@ -12,8 +12,8 @@
 //!   issue, and the [`PendingFill`] delivery heap (`PrefetchPredict`/
 //!   `PrefetchIssue`/`PrefetchFill`/`PrefetchLate`/`PrefetchExpire`,
 //!   `PbEvict`, plus `WalkStart`/`WalkDone` for walks it issues).
-//! * [`LookupStage`] — the per-request DevTLB/PB probe and the recycled
-//!   miss buffer (`DevTlbHit`/`DevTlbMiss`/`DevTlbEvict`, `PbHit`/`PbMiss`).
+//! * [`LookupStage`] — the per-request DevTLB/PB probe (`DevTlbHit`/
+//!   `DevTlbMiss`/`DevTlbEvict`, `PbHit`/`PbMiss`).
 //! * [`WalkStage`] — PTB admission/occupancy, IOMMU translation, and
 //!   walker contention (`PtbAlloc`/`PtbRelease`, demand `WalkStart`/
 //!   `WalkDone`).
@@ -49,18 +49,20 @@ use crate::sid_map::SidMap;
 /// counter, not by simulated time — the DevTLB sees exactly one probe per
 /// request in trace order, which is what makes the Belady oracle of
 /// [`crate::devtlb_oracle_for`] line up with the run.
+///
+/// Each request's DevTLB/PB probe takes one [`ReqClock::tick`] and each
+/// demand walk takes another, in request order. Native bypass mode
+/// [advances](ReqClock::advance) past requests it never probes, and the
+/// prefetch stage runs its residency probes, walks and fills at the
+/// [current](ReqClock::current) tick without taking one.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ReqClock {
     next: u64,
 }
 
 impl ReqClock {
-    /// Returns the current tick and advances the clock by one.
-    ///
-    /// The batched stages reserve tick ranges via
-    /// [`ReqClock::current`] + [`ReqClock::advance`] instead; the scalar
-    /// form remains as the specification the tests pin against.
-    #[cfg(test)]
+    /// Returns the current tick and advances the clock by one (one
+    /// translation request).
     pub(crate) fn tick(&mut self) -> u64 {
         let now = self.next;
         self.next += 1;

@@ -315,38 +315,10 @@ impl PrefetchStage {
     /// Probes the Prefetch Buffer for `iova`. `None` when no unit is
     /// configured; `Some(hit)` otherwise (the probe counts in the PB's
     /// cache statistics either way it resolves).
-    ///
-    /// The pipeline probes via [`PrefetchStage::probe_buffer_batch`]; the
-    /// scalar form remains as the specification the tests pin against.
-    #[cfg(test)]
     pub(crate) fn probe_buffer(&mut self, did: Did, iova: GIova, req_now: u64) -> Option<bool> {
         self.unit
             .as_mut()
             .map(|pf| pf.lookup(did, iova, req_now).is_some())
-    }
-
-    /// Probes the Prefetch Buffer for a batch of gIOVAs with explicit
-    /// per-element request ticks (the DevTLB-miss subset of a packet,
-    /// whose ticks are not contiguous). Equivalent to sequential
-    /// [`PrefetchStage::probe_buffer`] calls. Returns `false` (leaving
-    /// `out` cleared) when no unit is configured; otherwise `out[i]` holds
-    /// whether `iovas[i]` hit.
-    pub(crate) fn probe_buffer_batch(
-        &mut self,
-        did: Did,
-        iovas: &[GIova],
-        nows: &[u64],
-        out: &mut Vec<Option<TlbEntry>>,
-    ) -> bool {
-        out.clear();
-        match self.unit.as_mut() {
-            None => false,
-            Some(pf) => {
-                out.resize(iovas.len(), None);
-                pf.lookup_batch(did, iovas, nows, out);
-                true
-            }
-        }
     }
 
     /// Records a served packet's gIOVAs in the per-DID history.

@@ -31,8 +31,6 @@ pub(crate) struct WalkStage {
     walkers: Option<SlotPool>,
     pcie_round: SimDuration,
     hit_latency: SimDuration,
-    /// Recycled per-packet batch-translation results.
-    resp_buf: Vec<Result<IommuResponse, TranslationFault>>,
 }
 
 impl WalkStage {
@@ -50,7 +48,6 @@ impl WalkStage {
             walkers,
             pcie_round,
             hit_latency,
-            resp_buf: Vec::new(),
         }
     }
 
@@ -77,14 +74,8 @@ impl WalkStage {
     /// [`SPANS`](Observer::SPANS) gate is on; otherwise the returned
     /// components are zeroed and the tracking compiles away.
     ///
-    /// The packet's misses run in two phases: first one batch translation
-    /// through the IOMMU (its nested walk-cache probes run back-to-back
-    /// and duplicate functional traversals coalesce in the walk memo),
-    /// then per-miss PTB scheduling, event emission, and DevTLB installs
-    /// in exact per-request order. Neither the PTB nor the DevTLB feeds
-    /// back into the IOMMU, so splitting translation from scheduling
-    /// leaves every access sequence — and the emitted event stream —
-    /// identical to the interleaved scalar form.
+    /// Each miss takes its own request tick and IOMMU translation, then
+    /// its PTB slot, events and DevTLB install, in request order.
     pub(crate) fn serve<O: Observer>(
         &mut self,
         work: &Deferred,
@@ -125,20 +116,11 @@ impl WalkStage {
                 obs.record(end.as_ps(), Event::PtbRelease);
             }
         }
-        // Phase 1: translate the whole miss batch (one tick per miss, in
-        // request order — exactly the ticks the scalar loop would take).
-        let req0 = clock.current();
-        clock.advance(work.misses.len() as u64);
-        let mut responses = std::mem::take(&mut self.resp_buf);
-        self.iommu.translate_batch(
-            work.packet.sid,
-            work.packet.did,
-            &work.misses,
-            req0,
-            &mut responses,
-        );
-        // Phase 2: schedule, emit, and install per miss in request order.
-        for (i, (&iova, resp)) in work.misses.iter().zip(responses.iter()).enumerate() {
+        for &iova in work.misses.as_slice() {
+            let req = clock.tick();
+            let resp = self
+                .iommu
+                .translate(work.packet.sid, work.packet.did, iova, req);
             if O::ENABLED {
                 obs.record(
                     now.as_ps(),
@@ -186,7 +168,7 @@ impl WalkStage {
                             hpa_base: page_base(resp.hpa, resp.size),
                             size: resp.size,
                         },
-                        req0 + i as u64,
+                        req,
                         now,
                         obs,
                     );
@@ -198,7 +180,6 @@ impl WalkStage {
                 }
             }
         }
-        self.resp_buf = responses;
         (completion, parts)
     }
 

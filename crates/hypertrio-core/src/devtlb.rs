@@ -168,31 +168,6 @@ impl DevTlb {
         self.cache.lookup_fused(sid, &key_2m, &key_4k, now).copied()
     }
 
-    /// Probes a batch of gIOVAs in request order, exactly as sequential
-    /// [`Self::lookup`] calls at `now`, `now + 1`, … would — one recorded
-    /// hit or miss and one policy update per element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != iovas.len()`.
-    pub fn lookup_batch(
-        &mut self,
-        sid: Sid,
-        did: Did,
-        iovas: &[GIova],
-        now: u64,
-        out: &mut [Option<TlbEntry>],
-    ) {
-        assert_eq!(
-            iovas.len(),
-            out.len(),
-            "lookup_batch buffer length mismatch"
-        );
-        for (i, (&iova, slot)) in iovas.iter().zip(out.iter_mut()).enumerate() {
-            *slot = self.lookup(sid, did, iova, now + i as u64);
-        }
-    }
-
     /// Inserts a translation completed by the IOMMU.
     ///
     /// Returns the evicted entry, if any.
@@ -486,41 +461,6 @@ mod tests {
             .lookup(Sid::new(1), Did::new(1), GIova::new(0x1000), 5)
             .is_some());
         assert_eq!(tlb.invalidate_did(Did::new(0)), 0);
-    }
-
-    #[test]
-    fn lookup_batch_matches_sequential_lookups() {
-        let mut batched = base_tlb();
-        let mut scalar = base_tlb();
-        for tlb in [&mut batched, &mut scalar] {
-            tlb.insert(
-                Sid::new(0),
-                Did::new(0),
-                GIova::new(0xbbe0_0000),
-                entry_2m(0x1000_0000),
-                0,
-            );
-            tlb.insert(
-                Sid::new(0),
-                Did::new(0),
-                GIova::new(0x3000),
-                entry_4k(0x7000),
-                1,
-            );
-        }
-        let iovas = [
-            GIova::new(0xbbe1_2345), // 2M hit
-            GIova::new(0x3fff),      // 4K hit
-            GIova::new(0x9000),      // miss
-        ];
-        let mut out = [None; 3];
-        batched.lookup_batch(Sid::new(0), Did::new(0), &iovas, 10, &mut out);
-        for (i, &iova) in iovas.iter().enumerate() {
-            let want = scalar.lookup(Sid::new(0), Did::new(0), iova, 10 + i as u64);
-            assert_eq!(out[i], want, "iova {i}");
-        }
-        assert_eq!(batched.stats().hits(), scalar.stats().hits());
-        assert_eq!(batched.stats().misses(), scalar.stats().misses());
     }
 
     #[test]

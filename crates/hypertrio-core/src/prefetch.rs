@@ -176,10 +176,9 @@ impl SidPredictor {
 /// h.record(Did::new(0), GIova::new(0xbbe0_0000));
 /// h.record(Did::new(0), GIova::new(0xbbe0_0042)); // same page: coalesced
 /// h.record(Did::new(0), GIova::new(0x3480_0000));
-/// assert_eq!(
-///     h.recent(Did::new(0), 2),
-///     vec![GIova::new(0x3480_0000), GIova::new(0xbbe0_0000)]
-/// );
+/// let mut pages = Vec::new();
+/// h.recent_into(Did::new(0), 2, &mut pages);
+/// assert_eq!(pages, [GIova::new(0x3480_0000), GIova::new(0xbbe0_0000)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct IovaHistoryReader {
@@ -223,18 +222,10 @@ impl IovaHistoryReader {
         h.truncate(self.depth);
     }
 
-    /// Returns the `n` most recently used pages of `did`, most recent first.
+    /// Clears `out` and fills it with the `n` most recently used pages of
+    /// `did`, most recent first.
     ///
     /// Each call models one memory fetch by the history reader.
-    pub fn recent(&mut self, did: Did, n: usize) -> Vec<GIova> {
-        let mut pages = Vec::new();
-        self.recent_into(did, n, &mut pages);
-        pages
-    }
-
-    /// Allocation-free variant of [`Self::recent`]: clears `out` and fills
-    /// it with the `n` most recently used pages, most recent first. Counts
-    /// one memory fetch, exactly like `recent`.
     pub fn recent_into(&mut self, did: Did, n: usize, out: &mut Vec<GIova>) {
         self.fetches += 1;
         out.clear();
@@ -351,33 +342,6 @@ impl PrefetchUnit {
         self.buffer.lookup_fused(&key_2m, &key_4k, now).copied()
     }
 
-    /// Probes the Prefetch Buffer for a batch of gIOVAs, each at its own
-    /// access index, exactly as sequential [`Self::lookup`] calls would —
-    /// one recorded hit or miss per element. The per-element `nows` are
-    /// explicit because the caller probes only the DevTLB-miss subset of a
-    /// request batch, whose request indices are not contiguous.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `iovas`, `nows`, and `out` lengths differ.
-    pub fn lookup_batch(
-        &mut self,
-        did: Did,
-        iovas: &[GIova],
-        nows: &[u64],
-        out: &mut [Option<TlbEntry>],
-    ) {
-        assert_eq!(iovas.len(), nows.len(), "lookup_batch length mismatch");
-        assert_eq!(
-            iovas.len(),
-            out.len(),
-            "lookup_batch buffer length mismatch"
-        );
-        for ((&iova, &now), slot) in iovas.iter().zip(nows.iter()).zip(out.iter_mut()) {
-            *slot = self.lookup(did, iova, now);
-        }
-    }
-
     /// Observes an arrival from `sid` and, if the predictor has a mapping,
     /// returns the prefetch to launch.
     pub fn observe(&mut self, sid: Sid) -> Option<PrefetchRequest> {
@@ -392,28 +356,13 @@ impl PrefetchUnit {
         self.history.record(did, iova);
     }
 
-    /// Reads the most recent pages to prefetch for `did`.
-    pub fn history_pages(&mut self, did: Did) -> Vec<GIova> {
-        let n = self.pages_per_prefetch;
-        self.history.recent(did, n)
-    }
-
-    /// Plans one prefetch for `did`: reads the tenant's recent pages from
-    /// history (one memory fetch) and filters out pages already resident in
-    /// the Prefetch Buffer, returning the pages the caller should translate
-    /// and later [`PrefetchUnit::fill`].
+    /// Plans one prefetch for `did`: clears `out`, reads the tenant's
+    /// recent pages from history into it (one memory fetch), and filters
+    /// out pages already resident in the Prefetch Buffer, leaving the pages
+    /// the caller should translate and later [`PrefetchUnit::fill`].
     ///
     /// The residency probes count in the PB statistics exactly like demand
     /// lookups (hardware shares the tag port).
-    pub fn plan(&mut self, did: Did, now: u64) -> Vec<GIova> {
-        let mut pages = Vec::new();
-        self.plan_into(did, now, &mut pages);
-        pages
-    }
-
-    /// Allocation-free variant of [`Self::plan`]: clears `out` and fills it
-    /// with the pages to translate. History fetch and residency-probe
-    /// accounting are identical to `plan`.
     pub fn plan_into(&mut self, did: Did, now: u64, out: &mut Vec<GIova>) {
         let n = self.pages_per_prefetch;
         self.history.recent_into(did, n, out);
@@ -504,6 +453,13 @@ mod tests {
     use super::*;
     use hypersio_types::{HPa, PageSize};
 
+    /// The `n` most recent pages of `did`, through one history fetch.
+    fn recent(h: &mut IovaHistoryReader, did: Did, n: usize) -> Vec<GIova> {
+        let mut pages = Vec::new();
+        h.recent_into(did, n, &mut pages);
+        pages
+    }
+
     #[test]
     fn predictor_learns_round_robin() {
         let mut p = SidPredictor::new(4);
@@ -567,7 +523,7 @@ mod tests {
         h.record(did, GIova::new(0x2000));
         h.record(did, GIova::new(0x1abc)); // page 0x1000 again -> moves to front
         assert_eq!(
-            h.recent(did, 4),
+            recent(&mut h, did, 4),
             vec![GIova::new(0x1000), GIova::new(0x2000)]
         );
     }
@@ -579,13 +535,13 @@ mod tests {
         for i in 0..10u64 {
             h.record(did, GIova::new(i * 0x1000));
         }
-        assert_eq!(h.recent(did, 10).len(), 2);
+        assert_eq!(recent(&mut h, did, 10).len(), 2);
     }
 
     #[test]
     fn history_unknown_did_is_empty() {
         let mut h = IovaHistoryReader::new(2);
-        assert!(h.recent(Did::new(42), 2).is_empty());
+        assert!(recent(&mut h, Did::new(42), 2).is_empty());
         assert_eq!(h.fetches(), 1);
     }
 
@@ -610,7 +566,8 @@ mod tests {
         let req = req.expect("predictor trained");
         assert_eq!(req.sid, Sid::new(1));
         // The model fetches tenant 1's recent pages and fills the PB.
-        let pages = pu.history_pages(Did::new(1));
+        let mut pages = Vec::new();
+        pu.plan_into(Did::new(1), 99, &mut pages);
         assert_eq!(pages, vec![GIova::new(0xbbe0_0000)]);
         pu.fill(Did::new(1), pages[0], entry, 100);
         // A later request from tenant 1 hits the PB.
@@ -637,7 +594,10 @@ mod tests {
         pu.record_history(did, iova);
         pu.fill(did, iova, entry, 0);
         assert!(pu.lookup(did, iova, 1).is_some());
-        assert_eq!(pu.history_pages(did), vec![GIova::new(0xbbe0_0000)]);
+        assert_eq!(
+            recent(&mut pu.history, did, 2),
+            vec![GIova::new(0xbbe0_0000)]
+        );
 
         assert_eq!(pu.invalidate_did(did), 1);
         assert!(
@@ -645,7 +605,7 @@ mod tests {
             "PB served a stale translation after its DID was shot down"
         );
         assert!(
-            pu.history_pages(did).is_empty(),
+            recent(&mut pu.history, did, 2).is_empty(),
             "history would re-prefetch invalidated pages"
         );
 
@@ -667,7 +627,7 @@ mod tests {
         // Global shootdown drops everything.
         assert_eq!(pu.invalidate_all(), 1);
         assert!(pu.lookup(other, GIova::new(0x1000), 5).is_none());
-        assert!(pu.history_pages(other).is_empty());
+        assert!(recent(&mut pu.history, other, 2).is_empty());
     }
 
     #[test]

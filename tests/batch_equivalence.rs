@@ -1,11 +1,14 @@
-//! Checks on the batched pipeline.
+//! Checks on the run loop's prefetch paths and timing instrumentation.
 //!
-//! The run loop processes arrival slots in fixed batch frames and batches
-//! each packet's requests through the DevTLB/PB probe and the IOMMU walk.
-//! On seeded (SplitMix64-derived) packet streams this suite pins:
+//! The run loop processes arrival slots in frames of eight and serves each
+//! packet's three requests one at a time: a DevTLB probe, a Prefetch
+//! Buffer probe on a DevTLB miss, and an IOMMU walk on a PB miss. (The
+//! file name is historical: these checks once compared a batched probe
+//! path against the scalar one.) On seeded (SplitMix64-derived) packet
+//! streams this suite pins:
 //!
 //! 1. **Prefetch coverage**: the HyperTRIO runs at 128 and 1024 tenants
-//!    exercise the batched PB probe and prefetch issue.
+//!    exercise the PB probe and prefetch issue.
 //! 2. **Timed-run equivalence**: the stage-timing instrumentation of
 //!    `Simulation::run_timed` is behaviour-free — its report equals the
 //!    untimed one.
