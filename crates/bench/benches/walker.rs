@@ -25,7 +25,14 @@ fn bench_cold_walks() {
         let mut caches = WalkCaches::new(&WalkCacheConfig::paper_base());
         for i in 0..32u64 {
             let iova = GIova::new(0xbbe0_0000 + i * 0x20_0000);
-            let out = TwoDimWalker::walk(&space, Sid::new(0), iova, &mut caches, i).unwrap();
+            let out = TwoDimWalker::walk(
+                space.view(Did::new(0), 0),
+                Sid::new(0),
+                iova,
+                &mut caches,
+                i,
+            )
+            .unwrap();
             black_box(out.dram_accesses);
         }
     });
@@ -37,13 +44,27 @@ fn bench_warm_walks() {
     // Warm every page once.
     for i in 0..32u64 {
         let iova = GIova::new(0xbbe0_0000 + i * 0x20_0000);
-        TwoDimWalker::walk(&space, Sid::new(0), iova, &mut caches, i).unwrap();
+        TwoDimWalker::walk(
+            space.view(Did::new(0), 0),
+            Sid::new(0),
+            iova,
+            &mut caches,
+            i,
+        )
+        .unwrap();
     }
     let mut now = 100u64;
     bench::time_case("walker_warm_l2_hit", 200, || {
         for i in 0..32u64 {
             let iova = GIova::new(0xbbe0_0000 + i * 0x20_0000 + 0x1234);
-            let out = TwoDimWalker::walk(&space, Sid::new(0), iova, &mut caches, now).unwrap();
+            let out = TwoDimWalker::walk(
+                space.view(Did::new(0), 0),
+                Sid::new(0),
+                iova,
+                &mut caches,
+                now,
+            )
+            .unwrap();
             now += 1;
             black_box(out.dram_accesses);
         }

@@ -3,11 +3,12 @@
 //! The figure binaries stop at the paper's 1024 tenants; this harness
 //! pushes the same engine to a million. Each point runs the HyperTRIO
 //! configuration over a streaming trace with a fixed number of requests
-//! per tenant and a lazy, LRU-evicted page-table pool capped at
-//! `BUDGET_MB`, then records wall-clock throughput and the process peak
-//! RSS. The output (`BENCH_scale.json`, schema `bench_scale/v1`) is the
-//! committed evidence that host memory stays bounded by the budget while
-//! the tenant count grows three orders of magnitude.
+//! per tenant, then records wall-clock throughput and the process peak
+//! RSS. Every tenant translates through one canonical page-table build,
+//! so no point copies per-tenant tables. The output (`BENCH_scale.json`,
+//! schema `bench_scale/v2`) is the committed evidence of how throughput
+//! and host memory move while the tenant count grows three orders of
+//! magnitude.
 //!
 //! The points run smallest-first and the schema validator enforces that
 //! order: the peak-RSS probe is Linux's `VmHWM` watermark, which is
@@ -31,8 +32,7 @@
 //! Environment: `MAX_TENANTS` caps the tenant axis (default 1000000),
 //! `REQS` sets the per-tenant translation-request count (default 24,
 //! i.e. 8 packets per tenant), `WARMUP` the packets excluded from the
-//! simulated-bandwidth measurement (default 1000), `BUDGET_MB` the
-//! page-table budget (default 256).
+//! simulated-bandwidth measurement (default 1000).
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -57,13 +57,11 @@ struct PointResult {
     peak_rss_bytes: u64,
 }
 
-fn run_point(tenants: u32, reqs: u64, warmup: u64, budget_bytes: u64) -> PointResult {
+fn run_point(tenants: u32, reqs: u64, warmup: u64) -> PointResult {
     let trace = HyperTraceBuilder::new(WorkloadKind::Iperf3, tenants)
         .requests_per_tenant(reqs)
         .build();
-    let params = SimParams::paper()
-        .with_warmup(warmup)
-        .with_table_budget(budget_bytes);
+    let params = SimParams::paper().with_warmup(warmup);
     let start = Instant::now();
     let report = Simulation::new(TranslationConfig::hypertrio(), params, trace).run();
     let wall_s = start.elapsed().as_secs_f64();
@@ -77,12 +75,11 @@ fn run_point(tenants: u32, reqs: u64, warmup: u64, budget_bytes: u64) -> PointRe
     }
 }
 
-fn emit(points: &[PointResult], reqs: u64, warmup: u64, budget_bytes: u64) -> String {
+fn emit(points: &[PointResult], reqs: u64, warmup: u64) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"bench_scale/v1\",\n");
+    out.push_str("{\n  \"schema\": \"bench_scale/v2\",\n");
     let _ = writeln!(out, "  \"requests_per_tenant\": {reqs},");
     let _ = writeln!(out, "  \"warmup_packets\": {warmup},");
-    let _ = writeln!(out, "  \"table_budget_bytes\": {budget_bytes},");
     out.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         let _ = write!(
@@ -121,7 +118,7 @@ fn validate_file(path: &str) -> ExitCode {
     };
     match schema::validate_scale_schema(&doc) {
         Ok(()) => {
-            println!("{path}: schema bench_scale/v1 OK");
+            println!("{path}: schema bench_scale/v2 OK");
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -168,19 +165,16 @@ fn main() -> ExitCode {
     let max_tenants = bench::env_u64("MAX_TENANTS", 1_000_000) as u32;
     let reqs = bench::env_u64("REQS", 24);
     let warmup = bench::env_u64("WARMUP", 1000);
-    let budget_bytes = bench::env_u64("BUDGET_MB", 256) << 20;
 
     bench::banner(
-        "BENCH scale — tenants vs throughput and peak RSS (lazy tables)",
+        "BENCH scale — tenants vs throughput and peak RSS",
         &format!(
-            "reqs/tenant={reqs}, warmup={warmup}, budget={} MiB, \
-             max_tenants={max_tenants}, output={out_path}",
-            budget_bytes >> 20
+            "reqs/tenant={reqs}, warmup={warmup}, max_tenants={max_tenants}, output={out_path}"
         ),
     );
     let mut points = Vec::new();
     for tenants in TENANT_POINTS.into_iter().filter(|&t| t <= max_tenants) {
-        let p = run_point(tenants, reqs, warmup, budget_bytes);
+        let p = run_point(tenants, reqs, warmup);
         println!(
             "{:>9} tenants: {:>8.3} s wall, {:>12.0} packets/s, util {:.3}, peak RSS {:>6} MiB",
             p.tenants,
@@ -206,7 +200,7 @@ fn main() -> ExitCode {
         eprintln!("bench_scale: MAX_TENANTS={max_tenants} leaves no points to run");
         return ExitCode::FAILURE;
     }
-    let doc = emit(&points, reqs, warmup, budget_bytes);
+    let doc = emit(&points, reqs, warmup);
     let parsed = json::parse(&doc).expect("harness emits valid JSON");
     schema::validate_scale_schema(&parsed).expect("harness output matches its own schema");
     if let Err(e) = std::fs::write(&out_path, &doc) {

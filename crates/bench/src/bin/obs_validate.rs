@@ -16,7 +16,7 @@
 //! - a `.csv` suffix or a `window_start_us,` header → time-series CSV,
 //! - otherwise a JSON document dispatched on its `schema` field
 //!   (`sim_report/v1`, `hypersio-timeseries/v1`, `hypersio-spans/v1`,
-//!   `bench_hotpath/v1`, `bench_scale/v1`).
+//!   `bench_hotpath/v1`, `bench_scale/v2`).
 //!
 //! Exits non-zero after printing one line per failing file.
 
@@ -63,7 +63,7 @@ fn validate_file(path: &str) -> Result<&'static str, String> {
     let raw = std::fs::read(path).map_err(|e| format!("cannot read: {e}"))?;
     let first_raw = raw.split(|&b| b == b'\n').next().unwrap_or(&[]);
     if String::from_utf8_lossy(first_raw).contains("hypersio-checkpoint/") {
-        return validate_checkpoint(&raw).map(|()| "run checkpoint (hypersio-checkpoint/v2)");
+        return validate_checkpoint(&raw).map(|()| "run checkpoint (hypersio-checkpoint/v3)");
     }
     let text = String::from_utf8(raw).map_err(|_| "cannot read: file is not UTF-8".to_string())?;
     let first_line = text.lines().next().unwrap_or("");
@@ -87,8 +87,8 @@ fn validate_file(path: &str) -> Result<&'static str, String> {
         Some("bench_hotpath/v1") => {
             validate_hotpath_schema(&doc).map(|()| "hot-path benchmark (bench_hotpath/v1)")
         }
-        Some("bench_scale/v1") => {
-            validate_scale_schema(&doc).map(|()| "scale benchmark (bench_scale/v1)")
+        Some("bench_scale/v2") => {
+            validate_scale_schema(&doc).map(|()| "scale benchmark (bench_scale/v2)")
         }
         Some(other) => Err(format!("unknown schema '{other}'")),
         None => Err("missing string field 'schema'".into()),

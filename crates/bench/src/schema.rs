@@ -2,9 +2,9 @@
 //! harness write.
 //!
 //! Each `validate_*` function pins the *shape* of one output format —
-//! `bench_hotpath/v1`, `bench_scale/v1`, `sim_report/v1`,
+//! `bench_hotpath/v1`, `bench_scale/v2`, `sim_report/v1`,
 //! `hypersio-timeseries/v1`, `hypersio-events/v1`, `hypersio-spans/v1`
-//! and `hypersio-checkpoint/v2` — so a renamed field, a wrong type or
+//! and `hypersio-checkpoint/v3` — so a renamed field, a wrong type or
 //! broken framing fails CI (through `obs_validate`) rather than silently
 //! shipping. Documents are read with the workspace's one JSON parser,
 //! [`hypersio_types::json`]. Value thresholds are out of scope: CI runners
@@ -113,7 +113,7 @@ fn validate_hotpath_doc(doc: &Json, require_stages: bool) -> Result<(), String> 
     Ok(())
 }
 
-/// Checks that `doc` matches the `bench_scale/v1` schema (see the
+/// Checks that `doc` matches the `bench_scale/v2` schema (see the
 /// `bench_scale` binary): required top-level fields and a non-empty
 /// `points` array with every per-point metric present and the tenant
 /// counts strictly ascending. The ordering is part of the schema because
@@ -124,15 +124,11 @@ fn validate_hotpath_doc(doc: &Json, require_stages: bool) -> Result<(), String> 
 pub fn validate_scale_schema(doc: &Json) -> Result<(), String> {
     doc.as_obj().ok_or("top level must be an object")?;
     match doc.get("schema").and_then(Json::as_str) {
-        Some("bench_scale/v1") => {}
+        Some("bench_scale/v2") => {}
         Some(other) => return Err(format!("unknown schema '{other}'")),
         None => return Err("missing string field 'schema'".into()),
     }
-    for field in [
-        "requests_per_tenant",
-        "warmup_packets",
-        "table_budget_bytes",
-    ] {
+    for field in ["requests_per_tenant", "warmup_packets"] {
         doc.get(field)
             .and_then(Json::as_num)
             .ok_or_else(|| format!("missing numeric field '{field}'"))?;
@@ -530,7 +526,7 @@ pub fn validate_spans_schema(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// FNV-1a over 64 bits — the checksum the `hypersio-checkpoint/v2` writer
+/// FNV-1a over 64 bits — the checksum the `hypersio-checkpoint/v3` writer
 /// uses, reimplemented here so the validator stays independent of the
 /// simulator crate's encoder (a drift in either side fails CI).
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -555,7 +551,7 @@ fn checkpoint_hex(doc: &Json, field: &str) -> Result<u64, String> {
         .map_err(|_| format!("'{field}' must be a 0x-prefixed hex string"))
 }
 
-/// Checks an `hypersio-checkpoint/v2` file (the `--checkpoint-out` CLI
+/// Checks an `hypersio-checkpoint/v3` file (the `--checkpoint-out` CLI
 /// output): one JSON header line carrying the schema tag, the run
 /// identity (`config`, `tenants`, `fingerprint`), and the body's shape
 /// (`words`, `crc`) — followed by a binary little-endian `u64` body whose
@@ -570,7 +566,7 @@ pub fn validate_checkpoint(bytes: &[u8]) -> Result<(), String> {
     let header = std::str::from_utf8(&bytes[..newline]).map_err(|_| "header is not UTF-8")?;
     let doc = parse(header).map_err(|e| format!("header: {e}"))?;
     match doc.get("schema").and_then(Json::as_str) {
-        Some("hypersio-checkpoint/v2") => {}
+        Some("hypersio-checkpoint/v3") => {}
         Some(other) => return Err(format!("unknown schema '{other}'")),
         None => return Err("missing string field 'schema'".into()),
     }
@@ -726,9 +722,8 @@ mod tests {
 
     fn valid_scale_doc() -> String {
         r#"{
-            "schema": "bench_scale/v1",
+            "schema": "bench_scale/v2",
             "requests_per_tenant": 24, "warmup_packets": 1000,
-            "table_budget_bytes": 268435456,
             "points": [
                 {"tenants": 1000, "wall_s": 0.1, "packets": 8000,
                  "packets_per_sec": 80000.0, "translation_requests": 24000,
@@ -752,13 +747,16 @@ mod tests {
         let doc = parse(&valid_scale_doc().replace("peak_rss_bytes", "rss")).unwrap();
         let err = validate_scale_schema(&doc).unwrap_err();
         assert!(err.contains("peak_rss_bytes"), "{err}");
-        let doc = parse(&valid_scale_doc().replace("table_budget_bytes", "budget")).unwrap();
+        let doc = parse(&valid_scale_doc().replace("warmup_packets", "warmup")).unwrap();
         assert!(validate_scale_schema(&doc).is_err());
-        let doc = parse(&valid_scale_doc().replace("bench_scale/v1", "v999")).unwrap();
+        let doc = parse(&valid_scale_doc().replace("bench_scale/v2", "v999")).unwrap();
+        assert!(validate_scale_schema(&doc).is_err());
+        // The v1 curve, measured under a page-table budget, is not read.
+        let doc = parse(&valid_scale_doc().replace("bench_scale/v2", "bench_scale/v1")).unwrap();
         assert!(validate_scale_schema(&doc).is_err());
         let doc = parse(
-            r#"{"schema": "bench_scale/v1", "requests_per_tenant": 1,
-            "warmup_packets": 0, "table_budget_bytes": 0, "points": []}"#,
+            r#"{"schema": "bench_scale/v2", "requests_per_tenant": 1,
+            "warmup_packets": 0, "points": []}"#,
         )
         .unwrap();
         let err = validate_scale_schema(&doc).unwrap_err();
@@ -986,7 +984,7 @@ mod tests {
         }
         let header = format!(
             concat!(
-                r#"{{"schema":"hypersio-checkpoint/v2","config":"HyperTRIO","tenants":128,"#,
+                r#"{{"schema":"hypersio-checkpoint/v3","config":"HyperTRIO","tenants":128,"#,
                 r#""fingerprint":"0x00000000deadbeef","words":{},"crc":"{:#018x}"}}"#,
                 "\n"
             ),
@@ -1021,11 +1019,13 @@ mod tests {
         assert!(err.contains("checksum"), "{err}");
         // Wrong schema tag.
         let as_text = String::from_utf8(checkpoint_file(&[]).to_vec()).unwrap();
-        let err = validate_checkpoint(as_text.replace("/v2", "/v9").as_bytes()).unwrap_err();
+        let err = validate_checkpoint(as_text.replace("/v3", "/v9").as_bytes()).unwrap_err();
         assert!(err.contains("unknown schema"), "{err}");
-        // The v1 format is no longer read.
-        let err = validate_checkpoint(as_text.replace("/v2", "/v1").as_bytes()).unwrap_err();
-        assert!(err.contains("unknown schema"), "{err}");
+        // The v1 and v2 formats are no longer read.
+        for old in ["/v1", "/v2"] {
+            let err = validate_checkpoint(as_text.replace("/v3", old).as_bytes()).unwrap_err();
+            assert!(err.contains("unknown schema"), "{old}: {err}");
+        }
         // Hex fields must be 0x-prefixed strings.
         let err = validate_checkpoint(as_text.replace("\"0x00000000deadbeef\"", "12").as_bytes())
             .unwrap_err();

@@ -71,27 +71,29 @@ impl hypersio_cache::WordCodec for BdfKey {
 /// reports how many such reads the access cost so the caller can charge
 /// them.
 ///
+/// The architected context table behind the cache follows the paper's
+/// 1 VF : 1 tenant model: every device with a routing ID below the
+/// configured device count is assigned, to the domain of the same number,
+/// so the table is a function of the BDF and holds no storage.
+///
 /// # Examples
 ///
 /// ```
-/// use hypersio_mem::{ContextCache, ContextEntry};
+/// use hypersio_mem::ContextCache;
 /// use hypersio_types::{Bdf, Did};
 ///
-/// let mut cc = ContextCache::new(64);
-/// cc.install(Bdf::new(7), ContextEntry::new(Did::new(7)));
+/// let mut cc = ContextCache::new(64, 8);
 /// let (ce, memory_reads) = cc.lookup_or_fetch(Bdf::new(7), 0).unwrap();
+/// assert_eq!(ce.did(), Did::new(7));
 /// assert_eq!(memory_reads, 2); // cold miss fetches root + context entry
 /// let (_, memory_reads) = cc.lookup_or_fetch(Bdf::new(7), 1).unwrap();
 /// assert_eq!(memory_reads, 0); // now cached
+/// assert!(cc.lookup_or_fetch(Bdf::new(8), 2).is_none()); // not assigned
 /// ```
 #[derive(Debug)]
 pub struct ContextCache {
-    /// The architected context table (in "memory"): every configured device.
-    /// Probed on every context-cache miss — at 1024 tenants the 64-entry
-    /// cache thrashes and nearly every translate lands here — so it uses the
-    /// cheap Fx hasher. The map is never iterated (eviction order comes from
-    /// the fronting cache), so hash order cannot affect behaviour.
-    table: std::collections::HashMap<Bdf, ContextEntry, hypersio_types::fxhash::FxBuildHasher>,
+    /// Devices with a context entry: routing IDs `0..devices`.
+    devices: u32,
     cache: FullyAssocCache<BdfKey, ContextEntry>,
 }
 
@@ -99,18 +101,14 @@ pub struct ContextCache {
 pub(crate) const CONTEXT_MISS_READS: u64 = 2;
 
 impl ContextCache {
-    /// Creates a context cache with `entries` slots (LRU).
-    pub fn new(entries: usize) -> Self {
+    /// Creates a context cache with `entries` slots (LRU) in front of a
+    /// context table assigning routing IDs `0..devices` to the domains of
+    /// the same number.
+    pub fn new(entries: usize, devices: u32) -> Self {
         ContextCache {
-            table: std::collections::HashMap::default(),
+            devices,
             cache: FullyAssocCache::new(entries, PolicyKind::Lru),
         }
-    }
-
-    /// Installs (or replaces) the context entry for `bdf` in the in-memory
-    /// context table, as the hypervisor does when assigning a VF.
-    pub fn install(&mut self, bdf: Bdf, entry: ContextEntry) {
-        self.table.insert(bdf, entry);
     }
 
     /// Looks up the context entry for `bdf`, fetching from memory on a miss.
@@ -118,14 +116,18 @@ impl ContextCache {
     /// Returns the entry and the number of DRAM reads the lookup cost
     /// (0 on a cache hit, 2 on a miss).
     ///
-    /// Returns `None` if no context entry was ever installed for `bdf` —
-    /// the device is not configured and the request must fault.
+    /// Returns `None` if `bdf` has no context entry — the device is not
+    /// configured and the request must fault.
     pub fn lookup_or_fetch(&mut self, bdf: Bdf, now: u64) -> Option<(ContextEntry, u64)> {
         let key = BdfKey(bdf);
         if let Some(entry) = self.cache.lookup(&key, now) {
             return Some((*entry, 0));
         }
-        let entry = *self.table.get(&bdf)?;
+        let routing_id = bdf.routing_id();
+        if routing_id >= self.devices {
+            return None;
+        }
+        let entry = ContextEntry::new(Did::new(routing_id));
         self.cache.insert(key, entry, now);
         Some((entry, CONTEXT_MISS_READS))
     }
@@ -140,8 +142,8 @@ impl ContextCache {
         self.cache.stats()
     }
 
-    /// Appends the *cache* contents (not the architected table, which the
-    /// IOMMU re-derives from tenant residency) to a checkpoint stream.
+    /// Appends the cache contents to a checkpoint stream (the context
+    /// table is a function of the BDF and needs no state).
     pub fn snapshot_words(&self, out: &mut Vec<u64>) {
         self.cache.snapshot_words(out);
     }
@@ -160,15 +162,15 @@ mod tests {
 
     #[test]
     fn unconfigured_device_is_none() {
-        let mut cc = ContextCache::new(4);
+        let mut cc = ContextCache::new(4, 1);
         assert_eq!(cc.lookup_or_fetch(Bdf::new(1), 0), None);
     }
 
     #[test]
     fn miss_then_hit_costs() {
-        let mut cc = ContextCache::new(4);
-        cc.install(Bdf::new(1), ContextEntry::new(Did::new(1)));
-        let (_, reads) = cc.lookup_or_fetch(Bdf::new(1), 0).unwrap();
+        let mut cc = ContextCache::new(4, 2);
+        let (ce, reads) = cc.lookup_or_fetch(Bdf::new(1), 0).unwrap();
+        assert_eq!(ce.did(), Did::new(1));
         assert_eq!(reads, 2);
         let (_, reads) = cc.lookup_or_fetch(Bdf::new(1), 1).unwrap();
         assert_eq!(reads, 0);
@@ -176,10 +178,7 @@ mod tests {
 
     #[test]
     fn capacity_evictions_refetch() {
-        let mut cc = ContextCache::new(2);
-        for i in 0..3u16 {
-            cc.install(Bdf::new(i), ContextEntry::new(Did::new(i as u32)));
-        }
+        let mut cc = ContextCache::new(2, 3);
         for i in 0..3u16 {
             cc.lookup_or_fetch(Bdf::new(i), i as u64).unwrap();
         }
@@ -190,22 +189,10 @@ mod tests {
 
     #[test]
     fn invalidate_forces_refetch() {
-        let mut cc = ContextCache::new(4);
-        cc.install(Bdf::new(9), ContextEntry::new(Did::new(9)));
+        let mut cc = ContextCache::new(4, 10);
         cc.lookup_or_fetch(Bdf::new(9), 0).unwrap();
         cc.invalidate(Bdf::new(9));
         let (_, reads) = cc.lookup_or_fetch(Bdf::new(9), 1).unwrap();
         assert_eq!(reads, 2);
-    }
-
-    #[test]
-    fn reinstall_updates_entry() {
-        let mut cc = ContextCache::new(4);
-        cc.install(Bdf::new(3), ContextEntry::new(Did::new(3)));
-        cc.lookup_or_fetch(Bdf::new(3), 0).unwrap();
-        cc.install(Bdf::new(3), ContextEntry::new(Did::new(33)));
-        cc.invalidate(Bdf::new(3));
-        let (ce, _) = cc.lookup_or_fetch(Bdf::new(3), 1).unwrap();
-        assert_eq!(ce.did(), Did::new(33));
     }
 }

@@ -4,9 +4,9 @@
 //! page tables" — is a property of the *walk geometry*: how many radix
 //! levels each translation dimension has, how wide each level's index is,
 //! and which levels may hold superpage leaves. [`WalkGeometry`] captures
-//! that shape so every layer (table placement, nested walker, walk caches,
-//! memo keys) derives its constants from one source instead of assuming
-//! the x86 form.
+//! that shape so every layer (table placement, nested walker, walk caches)
+//! derives its constants from one source instead of assuming the x86
+//! form.
 //!
 //! Two ISA families are modelled:
 //!
@@ -159,17 +159,6 @@ impl WalkGeometry {
             WalkGeometry::RiscvSv48x4 => "sv48x4",
         }
     }
-
-    /// A small stable discriminant, used to key the walk memo so paths
-    /// memoized under one geometry can never serve another.
-    pub const fn id(self) -> u8 {
-        match self {
-            WalkGeometry::X86Nested4 => 0,
-            WalkGeometry::X86Nested5 => 1,
-            WalkGeometry::RiscvSv39x4 => 2,
-            WalkGeometry::RiscvSv48x4 => 3,
-        }
-    }
 }
 
 impl fmt::Display for WalkGeometry {
@@ -245,14 +234,6 @@ mod tests {
     fn default_is_the_paper_geometry() {
         assert_eq!(WalkGeometry::default(), WalkGeometry::X86Nested4);
         assert_eq!(WalkGeometry::default().full_walk_reads(), 24);
-    }
-
-    #[test]
-    fn ids_are_distinct() {
-        let mut seen = std::collections::HashSet::new();
-        for g in WalkGeometry::ALL {
-            assert!(seen.insert(g.id()));
-        }
     }
 
     #[test]

@@ -2,13 +2,16 @@
 
 use std::fmt;
 
+use hypersio_types::fxhash::FxBuildHasher;
 use hypersio_types::{Bdf, Did, GIova, HPa, PageSize, Sid, SimDuration};
 
-use crate::context::{ContextCache, ContextEntry};
+use crate::context::ContextCache;
 use crate::dram::Dram;
-use crate::space_pool::{PoolStats, SpacePool};
+use crate::space::TenantSpace;
 use crate::walk_cache::{WalkCacheConfig, WalkCaches};
 use crate::walker::{TranslationFault, TwoDimWalker, WalkMemo};
+
+type FxMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// How the IOMMU resolves a gIOVA (the paper's design vs the related-work
 /// alternative).
@@ -110,7 +113,13 @@ pub struct IommuStats {
 }
 
 /// The chipset IOMMU: context cache + walk caches + two-dimensional walker
-/// over per-tenant synthetic page tables.
+/// over the tenants' page tables.
+///
+/// Every tenant runs the same OS and driver (§IV-D), so the IOMMU holds
+/// one canonical [`TenantSpace`] and translates each tenant through its
+/// [view](TenantSpace::view): the DID plus the tenant's host slab, which
+/// is the DID itself unless a migration moved it. Per-tenant state is
+/// therefore only the migrated tenants' slabs.
 ///
 /// Latency model: every DRAM read costs `dram_latency` and reads are
 /// dependent (pointer chase). Walk-cache and context-cache hit latencies
@@ -118,49 +127,56 @@ pub struct IommuStats {
 /// charges an explicit hit latency only for the IOTLB/DevTLB).
 pub struct Iommu {
     params: IommuParams,
-    pool: SpacePool,
+    /// The canonical (DID-0, slab-0) build every tenant is a view of.
+    canonical: TenantSpace,
+    /// DIDs `0..tenants` are configured.
+    tenants: u32,
+    /// Host slab of each tenant migrated away from its default
+    /// (`slab == did`).
+    slab_overrides: FxMap<u32, u64>,
     caches: WalkCaches,
     context: ContextCache,
     dram: Dram,
     stats: IommuStats,
     /// Coalesces the functional radix traversals of walks to the same
-    /// `(DID, page)` — see [`WalkMemo`]. Invalidated per DID on migration;
-    /// guest entries are valid for the lifetime of the tenant spaces.
+    /// page — see [`WalkMemo`]. Its entries are in canonical coordinates,
+    /// so migration never invalidates them.
     memo: WalkMemo,
 }
 
 impl Iommu {
-    /// Creates an IOMMU over a [`SpacePool`].
+    /// Creates an IOMMU serving DIDs `0..tenants`, every one a view of
+    /// `canonical` (a slab-0 build of the shared page inventory).
     ///
-    /// Context entries (`Bdf = did`, the 1 VF : 1 tenant model of the
-    /// paper's emulated system) are installed when a tenant's space is
-    /// stamped — the hypervisor-configures-on-first-use view of a
-    /// hyper-tenant host. The context *cache* starts cold, so a tenant's
-    /// first translation pays the same context fetch whenever its entry
-    /// was installed.
-    pub fn new(params: IommuParams, pool: SpacePool) -> Self {
-        let context = ContextCache::new(params.context_entries);
+    /// Context entries follow the 1 VF : 1 tenant model of the paper's
+    /// emulated system (`Bdf = did` for every configured DID). The context
+    /// *cache* starts cold, so a tenant's first translation pays the
+    /// context fetch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tenants` is zero.
+    pub fn new(params: IommuParams, canonical: TenantSpace, tenants: u32) -> Self {
+        assert!(tenants > 0, "at least one tenant is required");
+        let context = ContextCache::new(params.context_entries, tenants);
         let caches = WalkCaches::new(&params.walk_caches);
         let dram = Dram::new(params.dram_latency);
         Iommu {
             params,
-            pool,
+            canonical,
+            tenants,
+            slab_overrides: FxMap::default(),
             caches,
             context,
             dram,
             stats: IommuStats::default(),
-            memo: WalkMemo::new(),
+            memo: WalkMemo::default(),
         }
     }
 
     /// Returns the configured parameters.
     pub fn params(&self) -> &IommuParams {
         &self.params
-    }
-
-    /// Returns the space pool's build/eviction counters.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
     }
 
     /// Returns accumulated statistics.
@@ -178,19 +194,27 @@ impl Iommu {
         self.dram.accesses()
     }
 
+    /// Panics unless `did` is a configured tenant.
+    fn check_did(&self, did: Did) {
+        assert!(
+            did.raw() < self.tenants,
+            "unknown tenant {did}; only {} tenants configured",
+            self.tenants
+        );
+    }
+
     /// Translates (`sid`, `did`, `iova`) at trace position `now`.
     ///
-    /// `did` selects the tenant space (the paper's 1:1 VF model also makes
-    /// it the BDF for the context lookup).
+    /// `did` selects the tenant (the paper's 1:1 VF model also makes it
+    /// the BDF for the context lookup).
     ///
     /// # Errors
     ///
-    /// Returns a [`TranslationFault`] for unmapped addresses or an
-    /// unconfigured device.
+    /// Returns a [`TranslationFault`] for unmapped addresses.
     ///
     /// # Panics
     ///
-    /// Panics if `did` is out of range for the configured tenant spaces.
+    /// Panics if `did` is out of range for the configured tenants.
     pub fn translate(
         &mut self,
         sid: Sid,
@@ -198,34 +222,28 @@ impl Iommu {
         iova: GIova,
         now: u64,
     ) -> Result<IommuResponse, TranslationFault> {
-        assert!(
-            did.index() < self.pool.tenants() as usize,
-            "unknown tenant {did}; only {} spaces configured",
-            self.pool.tenants()
-        );
+        self.check_did(did);
         self.stats.requests += 1;
-
-        // Materialise the tenant's tables; a fresh stamp also installs the
-        // context entry on demand.
-        let bdf = Bdf::from_routing_id(did.raw());
-        if self.pool.ensure(did) {
-            self.context.install(bdf, ContextEntry::new(did));
-        }
 
         // 1. Context lookup: find the DID/table roots for the requester.
         let (entry, context_reads) = self
             .context
-            .lookup_or_fetch(bdf, now)
-            .expect("context entries are installed when a space is stamped");
+            .lookup_or_fetch(Bdf::from_routing_id(did.raw()), now)
+            .expect("every configured tenant has a context entry");
         debug_assert_eq!(entry.did(), did);
         let mut latency = self.dram.read_many(context_reads);
 
-        let space = self.pool.get(did);
+        let slab = self
+            .slab_overrides
+            .get(&did.raw())
+            .copied()
+            .unwrap_or(did.raw() as u64);
+        let view = self.canonical.view(did, slab);
 
         // rIOMMU-style flat table: one memory read resolves the mapping
         // (the guest driver registered it directly, no nested walk).
         if self.params.scheme == TranslationScheme::FlatTable {
-            return match space.lookup(iova) {
+            return match view.lookup(iova) {
                 Some((hpa, size)) => {
                     latency += self.dram.read();
                     self.stats.dram_accesses += context_reads + 1;
@@ -245,10 +263,10 @@ impl Iommu {
         }
 
         // 2. Two-dimensional walk through the tenant's tables. Walks to
-        // the same (DID, page) coalesce their functional traversals in the
-        // memo; charging stays per-request (see `WalkMemo`).
+        // the same page coalesce their functional traversals in the memo;
+        // charging stays per-request (see `WalkMemo`).
         match TwoDimWalker::walk_memoized(
-            space,
+            view,
             sid,
             iova,
             &mut self.caches,
@@ -257,7 +275,7 @@ impl Iommu {
         ) {
             Ok(outcome) => {
                 latency += self.dram.read_many(outcome.dram_accesses);
-                if outcome.start_level == space.geometry().guest_levels() {
+                if outcome.start_level == self.canonical.geometry().guest_levels() {
                     self.stats.full_walks += 1;
                 }
                 self.stats.dram_accesses += context_reads + outcome.dram_accesses;
@@ -290,23 +308,21 @@ impl Iommu {
     }
 
     /// Sheds reclaimable memory under host pressure: the walk memo is
-    /// dropped (its entries are pure-function results, rebuilt on demand)
-    /// and the space pool's residency cap is halved with LRU eviction
-    /// ([`SpacePool::shrink_residency`]). Both actions are transparent to
-    /// the model — a degraded run produces bit-identical translations.
-    /// Returns `(spaces evicted, memo entries dropped)`.
-    pub fn relieve_memory_pressure(&mut self) -> (u64, u64) {
-        let (guest, nested) = self.memo.len();
+    /// dropped (its entries are pure-function results, rebuilt on demand),
+    /// which is transparent to the model — a degraded run produces
+    /// bit-identical translations. Returns the memo entries dropped.
+    pub fn relieve_memory_pressure(&mut self) -> u64 {
+        let dropped = self.memo.len() as u64;
         self.memo.clear();
-        let evicted = self.pool.shrink_residency();
-        (evicted, (guest + nested) as u64)
+        dropped
     }
 
     /// Appends every piece of mutable IOMMU state a resumed run needs to a
     /// checkpoint stream: statistics, the DRAM access counter, context
-    /// cache, walk caches, and pool residency metadata. The walk memo is
-    /// deliberately excluded — it is a pure coalescing cache, re-derived
-    /// on demand with no effect on results or charging.
+    /// cache, walk caches, the tenant count, and the migrated tenants'
+    /// slabs in ascending DID order. The walk memo is deliberately
+    /// excluded — it is a pure coalescing cache, re-derived on demand with
+    /// no effect on results or charging.
     pub fn snapshot_words(&self, out: &mut Vec<u64>) {
         out.push(self.stats.requests);
         out.push(self.stats.dram_accesses);
@@ -315,14 +331,21 @@ impl Iommu {
         out.push(self.dram.accesses());
         self.context.snapshot_words(out);
         self.caches.snapshot_words(out);
-        self.pool.snapshot_words(out);
+        out.push(self.tenants as u64);
+        let mut overrides: Vec<(u32, u64)> =
+            self.slab_overrides.iter().map(|(&d, &s)| (d, s)).collect();
+        overrides.sort_unstable();
+        out.push(overrides.len() as u64);
+        for (did, slab) in overrides {
+            out.push(did as u64);
+            out.push(slab);
+        }
     }
 
     /// Restores state captured by [`Self::snapshot_words`] into a freshly
-    /// constructed IOMMU of the same configuration. Tenants resident at
-    /// the checkpoint get their spaces re-stamped and their context
-    /// entries re-installed; the walk memo starts empty. Returns `None`
-    /// on a corrupt stream or a configuration mismatch.
+    /// constructed IOMMU of the same configuration; the walk memo starts
+    /// empty. Returns `None` on a corrupt stream (including overrides out
+    /// of DID order or out of range) or a configuration mismatch.
     pub fn restore_words(&mut self, r: &mut hypersio_cache::WordReader<'_>) -> Option<()> {
         self.stats.requests = r.next()?;
         self.stats.dram_accesses = r.next()?;
@@ -332,43 +355,40 @@ impl Iommu {
         self.dram.set_accesses(dram_accesses);
         self.context.restore_words(r)?;
         self.caches.restore_words(r)?;
-        self.pool.restore_words(r)?;
-        self.memo.clear();
-        // The architected context table holds an entry per ever-touched
-        // tenant; rebuilding it for the *resident* set is sufficient,
-        // because a non-resident tenant's next touch re-installs its entry
-        // on the ensure() path exactly as the first touch did.
-        for did in self.pool.resident_dids() {
-            self.context
-                .install(Bdf::from_routing_id(did.raw()), ContextEntry::new(did));
+        if r.next()? != self.tenants as u64 {
+            return None;
         }
+        self.slab_overrides.clear();
+        let mut last = None;
+        for _ in 0..r.len_capped(r.remaining() / 2)? {
+            let did = u32::try_from(r.next()?)
+                .ok()
+                .filter(|&did| did < self.tenants && last.is_none_or(|prev| did > prev))?;
+            last = Some(did);
+            self.slab_overrides.insert(did, r.next()?);
+        }
+        self.memo.clear();
         Some(())
     }
 
-    /// Migrates tenant `did` to host slab `slab`: the host table is
-    /// re-stamped at the new location
-    /// ([`TenantSpace::migrate_to_slab`](crate::TenantSpace::migrate_to_slab)),
-    /// the cached context entry is invalidated (the hypervisor rewrites it
-    /// during the hand-over), and every walk-cache entry of the DID is shot
-    /// down — the cached nested translations point into the old slab.
+    /// Migrates tenant `did` to host slab `slab`: the tenant's view moves
+    /// to the new slab, the cached context entry is invalidated (the
+    /// hypervisor rewrites it during the hand-over), and every walk-cache
+    /// entry of the DID is shot down — the cached nested translations
+    /// point into the old slab. Returns the walk-cache entries removed.
     ///
     /// The caller must also shoot down device-side state (DevTLB, Prefetch
     /// Buffer) for the DID; those caches live outside the IOMMU.
     ///
     /// # Panics
     ///
-    /// Panics if `did` is out of range for the configured tenant spaces.
+    /// Panics if `did` is out of range for the configured tenants.
     pub fn migrate_tenant(&mut self, did: Did, slab: u64) -> usize {
-        assert!(
-            did.index() < self.pool.tenants() as usize,
-            "unknown tenant {did}; only {} spaces configured",
-            self.pool.tenants()
-        );
-        self.pool.migrate(did, slab);
+        self.check_did(did);
+        self.slab_overrides.insert(did.raw(), slab);
         self.context.invalidate(Bdf::from_routing_id(did.raw()));
         // The walk memo needs no shootdown: its entries live in canonical
-        // layout coordinates and the migrated tenant's slab delta is
-        // applied per walk (see `WalkMemo`).
+        // coordinates and the tenant's slab delta is applied per walk.
         self.caches.invalidate_did(did)
     }
 }
@@ -376,7 +396,7 @@ impl Iommu {
 impl fmt::Debug for Iommu {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Iommu")
-            .field("tenants", &self.pool.tenants())
+            .field("tenants", &self.tenants)
             .field("stats", &self.stats)
             .finish()
     }
@@ -396,7 +416,7 @@ mod tests {
     }
 
     fn iommu_with(params: IommuParams, tenants: u32) -> Iommu {
-        Iommu::new(params, SpacePool::new(tenant(0), tenants, None))
+        Iommu::new(params, tenant(0), tenants)
     }
 
     fn iommu(tenants: u32) -> Iommu {
@@ -487,9 +507,8 @@ mod tests {
         m.migrate_tenant(Did::new(0), 7);
         let after = m.translate(Sid::new(0), Did::new(0), iova, 1).unwrap();
         assert_ne!(after.hpa, before, "migration must move the host frame");
-        let mut moved = tenant(0);
-        moved.migrate_to_slab(7);
-        assert_eq!(after.hpa, moved.lookup(iova).unwrap().0);
+        // Slab 7 holds exactly what a DID-7 build places there.
+        assert_eq!(after.hpa, tenant(7).lookup(iova).unwrap().0);
         // Walk caches were shot down and the context entry refetched:
         // 2 context reads + full 19-access walk.
         assert_eq!(after.dram_accesses, 21);
@@ -510,66 +529,12 @@ mod tests {
         assert_eq!(m.stats().requests, 2);
     }
 
-    fn budgeted_iommu(tenants: u32, resident: usize) -> Iommu {
-        let canonical = tenant(0);
-        let budget = canonical.per_tenant_bytes() * resident as u64;
-        Iommu::new(
-            IommuParams::paper(),
-            SpacePool::new(canonical, tenants, Some(budget)),
-        )
-    }
-
-    #[test]
-    fn budgeted_pool_translates_identically_to_unbounded() {
-        // Same requests through an unbounded IOMMU and a 2-resident one:
-        // responses, cache stats, and DRAM accounting must be identical
-        // even while the budgeted pool thrashes (4 tenants round-robin).
-        let mut unbounded = iommu(4);
-        let mut budgeted = budgeted_iommu(4, 2);
-        let iovas = [0xbbe0_0000u64, 0x3480_0000, 0xbbe0_4242];
-        let mut now = 0u64;
-        for round in 0..3 {
-            for t in 0..4u32 {
-                let iova = GIova::new(iovas[(round + t as usize) % iovas.len()]);
-                let a = unbounded.translate(Sid::new(t), Did::new(t), iova, now);
-                let b = budgeted.translate(Sid::new(t), Did::new(t), iova, now);
-                assert_eq!(a, b, "round {round} tenant {t}");
-                now += 1;
-            }
-        }
-        assert_eq!(unbounded.stats(), budgeted.stats());
-        assert_eq!(unbounded.walk_cache_stats(), budgeted.walk_cache_stats());
-        assert_eq!(unbounded.dram_accesses(), budgeted.dram_accesses());
-        let pool = budgeted.pool_stats();
-        assert!(
-            pool.evictions > 0,
-            "2-resident pool must evict under 4 tenants"
-        );
-        assert_eq!(pool.max_resident, 2);
-    }
-
-    #[test]
-    fn migration_survives_eviction() {
-        let mut m = budgeted_iommu(4, 1);
-        let iova = GIova::new(0xbbe0_0042);
-        let home = m.translate(Sid::new(0), Did::new(0), iova, 0).unwrap().hpa;
-        m.migrate_tenant(Did::new(0), 9);
-        let moved = m.translate(Sid::new(0), Did::new(0), iova, 1).unwrap().hpa;
-        assert_ne!(moved, home);
-        // Evict tenant 0 by touching another tenant, then return: the
-        // rebuilt tables must still live in slab 9.
-        m.translate(Sid::new(1), Did::new(1), iova, 2).unwrap();
-        let back = m.translate(Sid::new(0), Did::new(0), iova, 3).unwrap().hpa;
-        assert_eq!(back, moved);
-    }
-
     #[test]
     fn wide_dids_do_not_collide_in_the_context_path() {
         // DIDs beyond 65536 used to truncate to 16-bit BDFs; the routing-id
-        // widening must keep them distinct. A tiny budgeted pool stands in for
-        // the >64k-tenant case without building 64k spaces.
+        // widening must keep them distinct.
         let far = 70_000u32;
-        let mut m = budgeted_iommu(far + 1, 2);
+        let mut m = iommu(far + 1);
         let iova = GIova::new(0xbbe0_0000);
         let a = m.translate(Sid::new(4), Did::new(4), iova, 0).unwrap().hpa;
         let b = m
@@ -676,27 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_a_budgeted_iommu_mid_eviction() {
-        let mut src = budgeted_iommu(8, 2);
-        let iova = GIova::new(0xbbe0_0042);
-        for t in 0..6u32 {
-            src.translate(Sid::new(t), Did::new(t), iova, t as u64)
-                .unwrap();
-        }
-        src.migrate_tenant(Did::new(1), 77); // non-resident override
-        assert!(src.pool_stats().evictions > 0);
-        let dst = budgeted_iommu(8, 2);
-        let before = src.pool_stats();
-        let mut words = Vec::new();
-        src.snapshot_words(&mut words);
-        let mut restored = budgeted_iommu(8, 2);
-        let mut r = hypersio_cache::WordReader::new(&words);
-        restored.restore_words(&mut r).unwrap();
-        assert_eq!(restored.pool_stats(), before);
-        assert_snapshot_transfers(src, dst, 8);
-    }
-
-    #[test]
     fn snapshot_rejects_configuration_mismatches_and_corruption() {
         let mut src = iommu(2);
         src.translate(Sid::new(0), Did::new(0), GIova::new(0xbbe0_0000), 0)
@@ -725,12 +669,37 @@ mod tests {
             let mut r = hypersio_cache::WordReader::new(&words[..len]);
             assert!(dst.restore_words(&mut r).is_none(), "prefix {len}");
         }
+
+        // Slab overrides must name distinct in-range DIDs in ascending
+        // order.
+        let mut src = iommu(4);
+        src.migrate_tenant(Did::new(1), 8);
+        src.migrate_tenant(Did::new(3), 9);
+        let mut words = Vec::new();
+        src.snapshot_words(&mut words);
+        let n = words.len();
+        assert_eq!(words[n - 6..], [4, 2, 1, 8, 3, 9]);
+        let mut r = hypersio_cache::WordReader::new(&words);
+        iommu(4)
+            .restore_words(&mut r)
+            .expect("ordered overrides restore");
+        for (at, bad, why) in [
+            (n - 2, 1, "duplicate"),
+            (n - 2, 0, "descending"),
+            (n - 2, 4, "out of range"),
+            (n - 4, u64::MAX, "too wide"),
+        ] {
+            let mut corrupt = words.clone();
+            corrupt[at] = bad;
+            let mut r = hypersio_cache::WordReader::new(&corrupt);
+            assert!(iommu(4).restore_words(&mut r).is_none(), "{why}");
+        }
     }
 
     #[test]
     fn memory_pressure_relief_is_model_transparent() {
-        let mut plain = budgeted_iommu(8, 4);
-        let mut squeezed = budgeted_iommu(8, 4);
+        let mut plain = iommu(8);
+        let mut squeezed = iommu(8);
         let iova = GIova::new(0xbbe0_0042);
         let mut now = 0;
         for t in 0..4u32 {
@@ -742,9 +711,9 @@ mod tests {
                 .unwrap();
             now += 1;
         }
-        let (evicted, memo_dropped) = squeezed.relieve_memory_pressure();
-        assert!(evicted > 0, "4 residents over a halved cap must evict");
+        let memo_dropped = squeezed.relieve_memory_pressure();
         assert!(memo_dropped > 0, "warm memo must have entries to drop");
+        assert_eq!(squeezed.relieve_memory_pressure(), 0, "memo is empty");
         for round in 0..2 {
             for t in 0..8u32 {
                 let a = plain.translate(Sid::new(t), Did::new(t), iova, now);

@@ -9,9 +9,11 @@
 //!   nodes are placed at concrete addresses in their owning address space,
 //!   so a walker can enumerate the *exact* memory reads a hardware
 //!   page-table walk would perform.
-//! - [`TenantSpace`]: one tenant's pair of tables — the guest table
-//!   (gIOVA → gPA, its nodes living in guest-physical memory) and the host
-//!   table (gPA → hPA) — built from the tenant's page inventory.
+//! - [`TenantSpace`]: a pair of tables — the guest table (gIOVA → gPA,
+//!   its nodes living in guest-physical memory) and the host table
+//!   (gPA → hPA) — built from the tenants' shared page inventory, and
+//!   [`TenantView`]: that one build seen as any tenant, whose host side
+//!   sits in its own slab (a DID plus one host delta, no copied tables).
 //! - [`TwoDimWalker`]: the two-dimensional walk of the paper's Fig 2: every
 //!   guest-level PTE read requires a nested host walk, giving 24 memory
 //!   accesses for a 4 KB mapping (19 for a 2 MB mapping) on a full miss.
@@ -20,23 +22,19 @@
 //! - [`ContextCache`]: BDF → context-entry cache ("CC" in the paper's
 //!   Fig 3).
 //! - [`Dram`]: fixed-latency DRAM with access accounting.
-//! - [`SpacePool`]: the per-DID tenant spaces, stamped from one canonical
-//!   build on first touch and LRU-evicted under a host-memory budget.
 //! - [`Iommu`]: the assembled translation pipeline with per-request latency
 //!   and statistics.
 //!
 //! # Examples
 //!
 //! ```
-//! use hypersio_mem::{Iommu, IommuParams, SpacePool, TenantSpace};
+//! use hypersio_mem::{Iommu, IommuParams, TenantSpace};
 //! use hypersio_types::{Did, GIova, PageSize, Sid};
 //!
 //! let mut canonical = TenantSpace::builder(Did::new(0));
 //! canonical.map(GIova::new(0xbbe0_0000), PageSize::Size2M);
-//! // One tenant, no table budget: its space is stamped on first touch.
-//! let pool = SpacePool::new(canonical.build(), 1, None);
-//!
-//! let mut iommu = Iommu::new(IommuParams::paper(), pool);
+//! // One tenant translating through the canonical build.
+//! let mut iommu = Iommu::new(IommuParams::paper(), canonical.build(), 1);
 //! let resp = iommu
 //!     .translate(Sid::new(0), Did::new(0), GIova::new(0xbbe0_1234), 0)
 //!     .expect("page is mapped");
@@ -55,7 +53,6 @@ mod iommu;
 mod page_table;
 mod snapshot;
 mod space;
-mod space_pool;
 mod walk_cache;
 mod walker;
 
@@ -64,7 +61,6 @@ pub use dram::Dram;
 pub use geometry::WalkGeometry;
 pub use iommu::{Iommu, IommuParams, IommuResponse, IommuStats, TranslationScheme};
 pub use page_table::{InlineWalkPath, PageTableError, Pte, RadixTable, WalkPath};
-pub use space::{TenantSpace, TenantSpaceBuilder};
-pub use space_pool::{PoolStats, SpacePool};
+pub use space::{TenantSpace, TenantSpaceBuilder, TenantView};
 pub use walk_cache::{NestedKey, WalkCacheConfig, WalkCacheKey, WalkCaches};
-pub use walker::{TranslationFault, TwoDimWalker, WalkMemo, WalkOutcome};
+pub use walker::{TranslationFault, TwoDimWalker, WalkOutcome};

@@ -449,42 +449,6 @@ impl RadixTable {
     pub fn translate(&self, va: u64) -> Option<u64> {
         self.walk_inline(va).ok().map(|path| path.translate(va))
     }
-
-    /// Returns a copy of this table with every *owning-space* address —
-    /// node bases, `Table` pointers, and `Leaf` targets — shifted by
-    /// `delta` (wrapping). The radix keys (the translated virtual
-    /// addresses) are untouched.
-    ///
-    /// This is the cheap way to stamp out per-tenant tables whose layout
-    /// is affine in the tenant ID: build the canonical table once, then
-    /// rebase it into each tenant's slab instead of replaying every `map`.
-    pub fn rebased(&self, delta: u64) -> RadixTable {
-        // A PTE's address is `node_base + index * PTE_BYTES`; shifting the
-        // node base by `delta` shifts the PTE address by exactly `delta`.
-        let entries = self
-            .entries
-            .iter()
-            .map(|(&addr, &pte)| {
-                let pte = match pte {
-                    Pte::Table { next } => Pte::Table {
-                        next: next.wrapping_add(delta),
-                    },
-                    Pte::Leaf { target, size } => Pte::Leaf {
-                        target: target.wrapping_add(delta),
-                        size,
-                    },
-                };
-                (addr.wrapping_add(delta), pte)
-            })
-            .collect();
-        RadixTable {
-            levels: self.levels,
-            root_extra_bits: self.root_extra_bits,
-            root: self.root.wrapping_add(delta),
-            nodes: self.nodes.iter().map(|&b| b.wrapping_add(delta)).collect(),
-            entries,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -667,19 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn widened_root_rebases_cleanly() {
-        const DELTA: u64 = 0x100_0000;
-        let mut alloc = bump(0x10_0000);
-        let mut t = RadixTable::with_root_widening(4, 2, &mut alloc);
-        t.map(0xbbe0_0000, 0x4000_0000, PageSize::Size2M, &mut alloc)
-            .unwrap();
-        let shifted = t.rebased(DELTA);
-        assert_eq!(shifted.root_extra_bits(), 2);
-        assert_eq!(shifted.translate(0xbbe0_1234), Some(0x4000_1234 + DELTA));
-        assert_eq!(shifted.node_count(), t.node_count());
-    }
-
-    #[test]
     fn one_gig_leaf_at_sv39_root() {
         // Sv39 supports a 1 GiB "gigapage" leaf in its root level: the
         // walk is a single step.
@@ -691,55 +642,6 @@ mod tests {
         assert_eq!(path.ptes.len(), 1);
         assert_eq!(path.translate(0x8000_1234), 0x1_0000_1234);
         assert_eq!(path.size, PageSize::Size1G);
-    }
-
-    #[test]
-    fn rebased_matches_rebuilt_table() {
-        const DELTA: u64 = 0x100_0000;
-        // Build the same mappings twice: once at base 0x10_0000, once at
-        // base 0x10_0000 + DELTA with all targets shifted too.
-        let mut a_alloc = bump(0x10_0000);
-        let mut a = RadixTable::new(4, &mut a_alloc);
-        a.map(0xbbe0_0000, 0x4000_0000, PageSize::Size2M, &mut a_alloc)
-            .unwrap();
-        a.map(0x3480_0000, 0x7000_0000, PageSize::Size4K, &mut a_alloc)
-            .unwrap();
-
-        let mut b_alloc = bump(0x10_0000 + DELTA);
-        let mut b = RadixTable::new(4, &mut b_alloc);
-        b.map(
-            0xbbe0_0000,
-            0x4000_0000 + DELTA,
-            PageSize::Size2M,
-            &mut b_alloc,
-        )
-        .unwrap();
-        b.map(
-            0x3480_0000,
-            0x7000_0000 + DELTA,
-            PageSize::Size4K,
-            &mut b_alloc,
-        )
-        .unwrap();
-
-        assert_eq!(a.rebased(DELTA), b);
-        // Walk results shift accordingly; radix keys do not.
-        let shifted = a.rebased(DELTA);
-        assert_eq!(shifted.translate(0x3480_0042), Some(0x7000_0042 + DELTA));
-        let pa: Vec<u64> = a.walk(0xbbe0_1234).unwrap().pte_addrs;
-        let pb: Vec<u64> = shifted.walk(0xbbe0_1234).unwrap().pte_addrs;
-        for (x, y) in pa.iter().zip(&pb) {
-            assert_eq!(x + DELTA, *y);
-        }
-    }
-
-    #[test]
-    fn rebased_zero_is_identity() {
-        let mut alloc = bump(0x10_0000);
-        let mut t = RadixTable::new(5, &mut alloc);
-        t.map(0x1234_5678_9000, 0x4000, PageSize::Size4K, &mut alloc)
-            .unwrap();
-        assert_eq!(t.rebased(0), t);
     }
 
     #[test]

@@ -18,10 +18,10 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use hypersio_types::{Did, GIova, GPa, HPa, PageSize, Sid};
+use hypersio_types::{GIova, GPa, HPa, PageSize, Sid};
 
 use crate::page_table::{InlineWalkPath, PageTableError, Pte};
-use crate::space::TenantSpace;
+use crate::space::TenantView;
 use crate::walk_cache::WalkCaches;
 use hypersio_types::fxhash::FxBuildHasher;
 
@@ -71,7 +71,7 @@ pub struct WalkOutcome {
     pub start_level: u8,
 }
 
-/// Stateless walker logic over a [`TenantSpace`] and shared [`WalkCaches`].
+/// Stateless walker logic over a [`TenantView`] and shared [`WalkCaches`].
 ///
 /// # Examples
 ///
@@ -82,12 +82,13 @@ pub struct WalkOutcome {
 /// let mut b = TenantSpace::builder(Did::new(0));
 /// b.map(GIova::new(0x3480_0000), PageSize::Size4K);
 /// let space = b.build();
+/// let tenant = space.view(Did::new(0), 0);
 /// let mut caches = WalkCaches::new(&WalkCacheConfig::paper_base());
 ///
-/// let cold = TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0x3480_0000),
+/// let cold = TwoDimWalker::walk(tenant, Sid::new(0), GIova::new(0x3480_0000),
 ///                               &mut caches, 0).unwrap();
 /// assert_eq!(cold.dram_accesses, 24); // full 2-D walk, 4 KB page
-/// let warm = TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0x3480_0000),
+/// let warm = TwoDimWalker::walk(tenant, Sid::new(0), GIova::new(0x3480_0000),
 ///                               &mut caches, 1).unwrap();
 /// assert_eq!(warm.dram_accesses, 9); // L2 hit: guest L1 (4+1) + final host walk (4)
 /// ```
@@ -95,70 +96,53 @@ pub struct WalkOutcome {
 pub struct TwoDimWalker;
 
 /// DRAM reads for one nested (host) walk: one PTE read per host level.
-fn host_walk_reads(space: &TenantSpace) -> u64 {
-    space.host_table().levels() as u64
+fn host_walk_reads(view: TenantView<'_>) -> u64 {
+    view.space().host_table().levels() as u64
 }
 
 /// Memo coalescing the *functional* radix traversals of concurrent walks.
 ///
 /// Walks to the same page — repeated misses on one page across packets
-/// and tenants sharing a layout, or the repeated nested host walks a
-/// single guest walk issues for PTEs sharing a host page — coalesce into one functional traversal whose
-/// result (the guest PTE path, or the host page backing a gPA) is replayed
-/// for every requester. Because the paper's out-of-order completion
-/// semantics place no ordering constraint between concurrent walks, sharing
-/// the functional outcome is legal; only the *charging* is per-request, and
-/// that is untouched: every walk still performs its own walk-cache probes
-/// and fills, nested-TLB accesses, and DRAM-read accounting, so simulated
-/// state and statistics are bit-identical to uncoalesced walks.
+/// and tenants, or the repeated nested host walks a single guest walk
+/// issues for PTEs sharing a host page — coalesce into one functional
+/// traversal whose result (the guest PTE path, or the host page backing a
+/// gPA) is replayed for every requester. Because the paper's out-of-order
+/// completion semantics place no ordering constraint between concurrent
+/// walks, sharing the functional outcome is legal; only the *charging* is
+/// per-request, and that is untouched: every walk still performs its own
+/// walk-cache probes and fills, nested-TLB accesses, and DRAM-read
+/// accounting, so simulated state and statistics are bit-identical to
+/// uncoalesced walks.
 ///
-/// Entries are keyed by [`TenantSpace::layout_id`] *and* the layout's
-/// [`crate::WalkGeometry`] discriminant, and stored in *canonical*
-/// coordinates: all tenants stamped from one canonical build
-/// ([`TenantSpace::stamp`]) share bit-identical guest tables and affine
-/// host tables, so a single memo entry serves every
-/// sibling (the caller's [`TenantSpace::host_delta`] is applied on the way
-/// out). This keeps the memo a few thousand entries at any tenant count —
-/// cache-resident — instead of growing per tenant. It also makes slab
-/// migration free: a migrated tenant's delta changes, the canonical entry
-/// stays valid, and no invalidation is needed.
+/// One memo serves one shared build (the IOMMU owns both), so entries are
+/// keyed by page alone and stored in the build's own coordinates: every
+/// tenant's view has the same guest table and the same host table up to
+/// its [`TenantView::host_delta`], which is added on the way out. The memo
+/// therefore stays a few thousand entries at any tenant count, and slab
+/// migration needs no invalidation — only the migrated tenant's delta
+/// changes.
 ///
-/// Guest tables are immutable after [`TenantSpace`] construction, so guest
-/// entries never go stale; faults are terminal per-requester and never
-/// memoized.
+/// Tables are immutable after construction, so entries never go stale;
+/// faults are terminal per-requester and never memoized.
 #[derive(Debug, Default)]
-pub struct WalkMemo {
-    /// `(layout id, geometry id, iova page)` → full guest walk path
-    /// (root … leaf PTE), identical across the layout's tenants. The
-    /// geometry discriminant makes it impossible for a path memoized under
-    /// one walk shape to serve a layout built in another, even if layout
-    /// ids were ever recycled across geometries.
-    guest: HashMap<(u64, u8, u64), InlineWalkPath, FxBuildHasher>,
-    /// `(layout id, geometry id, gpa page)` → canonical host-physical 4 KB
-    /// page base (the caller adds its own slab delta).
-    host: HashMap<(u64, u8, u64), u64, FxBuildHasher>,
+pub(crate) struct WalkMemo {
+    /// gIOVA page → full guest walk path (root … leaf PTE).
+    guest: HashMap<u64, InlineWalkPath, FxBuildHasher>,
+    /// gPA page → host-physical 4 KB page base in the build's coordinates
+    /// (the caller adds its view's delta).
+    host: HashMap<u64, u64, FxBuildHasher>,
 }
 
 impl WalkMemo {
-    /// Creates an empty memo.
-    pub fn new() -> Self {
-        WalkMemo::default()
-    }
-
     /// Drops every memoized result.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.guest.clear();
         self.host.clear();
     }
 
-    /// Returns the number of memoized guest paths and host pages.
-    pub fn len(&self) -> (usize, usize) {
-        (self.guest.len(), self.host.len())
-    }
-
-    /// Returns true if nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.guest.is_empty() && self.host.is_empty()
+    /// Returns the number of memoized guest paths plus host pages.
+    pub(crate) fn len(&self) -> usize {
+        self.guest.len() + self.host.len()
     }
 
     /// The guest walk path for `iova`, shared across all walks touching its
@@ -166,29 +150,31 @@ impl WalkMemo {
     /// the requester and carry no reusable result).
     fn guest_path(
         &mut self,
-        space: &TenantSpace,
+        view: TenantView<'_>,
         iova: GIova,
     ) -> Result<InlineWalkPath, PageTableError> {
-        let key = (space.layout_id(), space.geometry().id(), iova.raw() >> 12);
+        let key = iova.raw() >> 12;
         if let Some(path) = self.guest.get(&key) {
             return Ok(*path);
         }
-        let path = space.guest_walk_inline(iova)?;
+        let path = view.guest_walk(iova)?;
         self.guest.insert(key, path);
         Ok(path)
     }
 
-    /// The host-physical 4 KB page backing `gpa`, shared across all nested
-    /// walks touching its page.
-    fn host_page(&mut self, space: &TenantSpace, gpa: GPa) -> Result<HPa, PageTableError> {
-        let key = (space.layout_id(), space.geometry().id(), gpa.raw() >> 12);
-        if let Some(&canonical) = self.host.get(&key) {
-            return Ok(HPa::new(canonical.wrapping_add(space.host_delta())));
-        }
-        let path = space.host_walk_inline(gpa)?;
-        let page = path.translate(gpa.raw()) & !0xfff;
-        self.host.insert(key, page.wrapping_sub(space.host_delta()));
-        Ok(HPa::new(page))
+    /// The host-physical 4 KB page backing `gpa` in `view`, shared across
+    /// all nested walks touching its page.
+    fn host_page(&mut self, view: TenantView<'_>, gpa: GPa) -> Result<HPa, PageTableError> {
+        let key = gpa.raw() >> 12;
+        let built = match self.host.get(&key) {
+            Some(&page) => page,
+            None => {
+                let page = view.built_host_page(gpa)?;
+                self.host.insert(key, page);
+                page
+            }
+        };
+        Ok(HPa::new(built.wrapping_add(view.host_delta())))
     }
 }
 
@@ -198,31 +184,29 @@ impl WalkMemo {
 /// Returns the DRAM reads charged and the host-physical 4 KB page backing
 /// `gpa`, so the caller never repeats the functional host walk.
 fn charge_host_walk(
-    space: &TenantSpace,
+    view: TenantView<'_>,
     caches: &mut WalkCaches,
     sid: Sid,
     gpa: GPa,
     now: u64,
     memo: Option<&mut WalkMemo>,
 ) -> Result<(u64, HPa), TranslationFault> {
-    let did = space.did();
+    let did = view.did();
     if let Some(page) = caches.lookup_nested(sid, did, gpa, now) {
         return Ok((0, page));
     }
     let page = match memo {
-        Some(memo) => memo.host_page(space, gpa),
-        None => space
-            .host_walk_inline(gpa)
-            .map(|path| HPa::new(path.translate(gpa.raw()) & !0xfff)),
+        Some(memo) => memo.host_page(view, gpa),
+        None => view.host_page(gpa),
     }
     .map_err(|_| TranslationFault::HostNotMapped { gpa })?;
     caches.fill_nested(sid, did, gpa, page, now);
-    Ok((host_walk_reads(space), page))
+    Ok((host_walk_reads(view), page))
 }
 
 impl TwoDimWalker {
-    /// Performs the two-dimensional walk for (`sid`, `iova`) in `space`,
-    /// consulting and filling `caches`.
+    /// Performs the two-dimensional walk for (`sid`, `iova`) in tenant
+    /// `view`, consulting and filling `caches`.
     ///
     /// Returns the outcome including the exact DRAM read count; the caller
     /// converts reads into latency via its DRAM model.
@@ -232,45 +216,39 @@ impl TwoDimWalker {
     /// Returns a [`TranslationFault`] if the gIOVA (or any nested gPA) is
     /// unmapped.
     pub fn walk(
-        space: &TenantSpace,
+        view: TenantView<'_>,
         sid: Sid,
         iova: GIova,
         caches: &mut WalkCaches,
         now: u64,
     ) -> Result<WalkOutcome, TranslationFault> {
-        Self::walk_memoized(space, sid, iova, caches, None, now)
+        Self::walk_memoized(view, sid, iova, caches, None, now)
     }
 
     /// [`Self::walk`] with an optional [`WalkMemo`] coalescing the
     /// functional traversals with other walks sharing the memo.
     ///
     /// Produces the same outcome, cache state, and statistics as
-    /// [`Self::walk`] for any memo built against the same layouts (memo
-    /// entries live in canonical coordinates, so they stay consistent even
-    /// across slab migration — see [`WalkMemo`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TranslationFault`] if the gIOVA (or any nested gPA) is
-    /// unmapped.
-    pub fn walk_memoized(
-        space: &TenantSpace,
+    /// [`Self::walk`] for any memo built against views of the same build
+    /// (see [`WalkMemo`]).
+    pub(crate) fn walk_memoized(
+        view: TenantView<'_>,
         sid: Sid,
         iova: GIova,
         caches: &mut WalkCaches,
         mut memo: Option<&mut WalkMemo>,
         now: u64,
     ) -> Result<WalkOutcome, TranslationFault> {
-        let did = space.did();
+        let did = view.did();
         let mut reads = 0u64;
-        let table_levels = space.guest_table().levels();
+        let table_levels = view.space().guest_table().levels();
 
         // The functional guest walk gives us the PTEs per level; the cache
         // state decides how many of those reads (and their nested host
         // walks) we must charge.
         let gpath = match memo.as_deref_mut() {
-            Some(memo) => memo.guest_path(space, iova),
-            None => space.guest_walk_inline(iova),
+            Some(memo) => memo.guest_path(view, iova),
+            None => view.guest_walk(iova),
         }
         .map_err(|_| TranslationFault::GuestNotMapped { iova })?;
         let walk_steps = gpath.len() as u8; // table_levels for 4K leaf
@@ -317,7 +295,7 @@ impl TwoDimWalker {
                 // Nested host walk for the guest PTE's address (free on a
                 // nested-TLB hit), plus the guest PTE read itself.
                 let host_reads = charge_host_walk(
-                    space,
+                    view,
                     caches,
                     sid,
                     GPa::new(pte_gpa),
@@ -354,7 +332,7 @@ impl TwoDimWalker {
         // backing `final_gpa`; host frames are at least 4 KB-aligned, so
         // page base + low-12 offset is exactly what a second functional
         // host walk would return.
-        let (final_reads, host_page) = charge_host_walk(space, caches, sid, final_gpa, now, memo)?;
+        let (final_reads, host_page) = charge_host_walk(view, caches, sid, final_gpa, now, memo)?;
         reads += final_reads;
         #[cfg(debug_assertions)]
         dbg_count(final_reads, false);
@@ -365,8 +343,8 @@ impl TwoDimWalker {
         // nested-TLB hit making one host walk (`H` reads) free.
         #[cfg(debug_assertions)]
         {
-            let geometry = space.geometry();
-            let h = host_walk_reads(space);
+            let geometry = view.space().geometry();
+            let h = host_walk_reads(view);
             debug_assert_eq!(table_levels, geometry.guest_levels());
             debug_assert_eq!(h, geometry.host_levels() as u64);
             debug_assert!(geometry.supports_leaf_level(leaf_level));
@@ -394,30 +372,19 @@ impl TwoDimWalker {
             start_level,
         })
     }
-
-    /// Performs the walk for a known-`did` tenant out of a slice of spaces.
-    ///
-    /// Convenience for callers that index spaces by DID.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `did` is out of range for `spaces`.
-    pub fn walk_for(
-        spaces: &[TenantSpace],
-        sid: Sid,
-        did: Did,
-        iova: GIova,
-        caches: &mut WalkCaches,
-        now: u64,
-    ) -> Result<WalkOutcome, TranslationFault> {
-        Self::walk(&spaces[did.index()], sid, iova, caches, now)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::walk_cache::WalkCacheConfig;
+    use crate::TenantSpace;
+    use hypersio_types::Did;
+
+    /// `space` as the tenant it was built for, in its own slab.
+    fn own(space: &TenantSpace) -> TenantView<'_> {
+        space.view(space.did(), space.did().raw() as u64)
+    }
 
     fn space_4k() -> TenantSpace {
         let mut b = TenantSpace::builder(Did::new(0));
@@ -442,8 +409,8 @@ mod tests {
     fn cold_4k_walk_costs_24() {
         let space = space_4k();
         let mut c = caches();
-        let out =
-            TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0x3480_0000), &mut c, 0).unwrap();
+        let out = TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0x3480_0000), &mut c, 0)
+            .unwrap();
         assert_eq!(out.dram_accesses, 24);
         assert_eq!(out.start_level, 4);
         assert_eq!(out.size, PageSize::Size4K);
@@ -453,8 +420,8 @@ mod tests {
     fn cold_2m_walk_costs_19() {
         let space = space_2m();
         let mut c = caches();
-        let out =
-            TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0xbbe0_0000), &mut c, 0).unwrap();
+        let out = TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0xbbe0_0000), &mut c, 0)
+            .unwrap();
         assert_eq!(out.dram_accesses, 19);
         assert_eq!(out.size, PageSize::Size2M);
     }
@@ -463,9 +430,9 @@ mod tests {
     fn warm_l2_hit_4k_costs_9() {
         let space = space_4k();
         let mut c = caches();
-        TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0x3480_0000), &mut c, 0).unwrap();
-        let out =
-            TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0x3480_0000), &mut c, 1).unwrap();
+        TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0x3480_0000), &mut c, 0).unwrap();
+        let out = TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0x3480_0000), &mut c, 1)
+            .unwrap();
         // L2 cached the pointer to the L1 node: guest L1 read (4+1) + final 4.
         assert_eq!(out.dram_accesses, 9);
         assert_eq!(out.start_level, 1);
@@ -475,9 +442,9 @@ mod tests {
     fn warm_l2_hit_2m_costs_4() {
         let space = space_2m();
         let mut c = caches();
-        TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0xbbe0_0000), &mut c, 0).unwrap();
-        let out =
-            TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0xbbe0_1234), &mut c, 1).unwrap();
+        TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0xbbe0_0000), &mut c, 0).unwrap();
+        let out = TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0xbbe0_1234), &mut c, 1)
+            .unwrap();
         // 2 MB leaf cached in L2: only the final host walk remains.
         assert_eq!(out.dram_accesses, 4);
         assert_eq!(out.start_level, 0);
@@ -489,9 +456,9 @@ mod tests {
         let mut c = caches();
         // Warm with one 2 MB page, then walk a *different* 2 MB page in the
         // same 1 GB region: L2 misses (different tag) but L3 hits.
-        TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0xbbe0_0000), &mut c, 0).unwrap();
-        let out =
-            TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0xbc00_0000), &mut c, 1).unwrap();
+        TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0xbbe0_0000), &mut c, 0).unwrap();
+        let out = TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0xbc00_0000), &mut c, 1)
+            .unwrap();
         // Guest L2 read (4+1) + final 4 = 9; levels 4-3 skipped.
         assert_eq!(out.start_level, 2);
         assert_eq!(out.dram_accesses, 9);
@@ -502,11 +469,11 @@ mod tests {
         let space = space_2m();
         let mut c = caches();
         let iova = GIova::new(0xbbe0_0000 + 0x1_2345);
-        let out = TwoDimWalker::walk(&space, Sid::new(0), iova, &mut c, 0).unwrap();
+        let out = TwoDimWalker::walk(own(&space), Sid::new(0), iova, &mut c, 0).unwrap();
         let (expect, _) = space.lookup(iova).unwrap();
         assert_eq!(out.hpa, expect);
         // And cached walks agree with cold walks.
-        let out2 = TwoDimWalker::walk(&space, Sid::new(0), iova, &mut c, 1).unwrap();
+        let out2 = TwoDimWalker::walk(own(&space), Sid::new(0), iova, &mut c, 1).unwrap();
         assert_eq!(out2.hpa, expect);
     }
 
@@ -514,7 +481,7 @@ mod tests {
     fn unmapped_iova_faults() {
         let space = space_4k();
         let mut c = caches();
-        let err = TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0xdead_0000), &mut c, 0)
+        let err = TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0xdead_0000), &mut c, 0)
             .unwrap_err();
         assert!(matches!(err, TranslationFault::GuestNotMapped { .. }));
         assert!(format!("{err}").contains("guest mapping"));
@@ -524,10 +491,10 @@ mod tests {
     fn adjacent_4k_pages_share_l2_entry() {
         let space = space_4k();
         let mut c = caches();
-        TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0x3480_0000), &mut c, 0).unwrap();
+        TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0x3480_0000), &mut c, 0).unwrap();
         // Second page is in the same 2 MB region: L2 pointer hit.
-        let out =
-            TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0x3480_1000), &mut c, 1).unwrap();
+        let out = TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0x3480_1000), &mut c, 1)
+            .unwrap();
         assert_eq!(out.start_level, 1);
         assert_eq!(out.dram_accesses, 9);
     }
@@ -539,14 +506,14 @@ mod tests {
         let space = space_2m();
         let cfg = WalkCacheConfig::paper_base().with_nested_tlb(CacheGeometry::new(256, 8));
         let mut c = WalkCaches::new(&cfg);
-        let cold =
-            TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0xbbe0_0000), &mut c, 0).unwrap();
+        let cold = TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0xbbe0_0000), &mut c, 0)
+            .unwrap();
         assert_eq!(cold.dram_accesses, 19); // cold: nested TLB empty
                                             // Invalidate the L2 leaf so the guest walk repeats, but every
                                             // host translation now hits the nested TLB: guest PTE reads only.
         c.clear_guest_only_for_test();
-        let warm =
-            TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0xbbe0_0000), &mut c, 1).unwrap();
+        let warm = TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0xbbe0_0000), &mut c, 1)
+            .unwrap();
         // Full guest walk (3 PTE reads) with free host walks + free final.
         assert_eq!(warm.dram_accesses, 3);
         assert_eq!(warm.hpa, cold.hpa);
@@ -557,16 +524,17 @@ mod tests {
         // Paper §II: "24 or 35 memory accesses for 4-level or 5-level page
         // tables". 5 guest levels x (5 host reads + 1) + 5 final = 35.
         let mut b = TenantSpace::builder(Did::new(0));
-        b.levels(5).map(GIova::new(0x3480_0000), PageSize::Size4K);
+        b.geometry(crate::WalkGeometry::X86Nested5)
+            .map(GIova::new(0x3480_0000), PageSize::Size4K);
         let space = b.build();
         let mut c = caches();
-        let out =
-            TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0x3480_0000), &mut c, 0).unwrap();
+        let out = TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0x3480_0000), &mut c, 0)
+            .unwrap();
         assert_eq!(out.dram_accesses, 35);
         assert_eq!(out.start_level, 5);
         // A warm L2 hit still shortcuts to guest L1 + final host walk.
-        let warm =
-            TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0x3480_0000), &mut c, 1).unwrap();
+        let warm = TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0x3480_0000), &mut c, 1)
+            .unwrap();
         assert_eq!(warm.dram_accesses, 5 + 1 + 5);
     }
 
@@ -588,10 +556,10 @@ mod tests {
             .with_nested_tlb(hypersio_cache::CacheGeometry::new(256, 8));
         let mut plain = WalkCaches::new(&cfg);
         let mut coalesced = WalkCaches::new(&cfg);
-        let mut memo = WalkMemo::new();
+        let mut memo = WalkMemo::default();
         for (now, &iova) in iovas.iter().enumerate() {
             let a = TwoDimWalker::walk(
-                &space,
+                own(&space),
                 Sid::new(0),
                 GIova::new(iova),
                 &mut plain,
@@ -599,7 +567,7 @@ mod tests {
             )
             .unwrap();
             let b = TwoDimWalker::walk_memoized(
-                &space,
+                own(&space),
                 Sid::new(0),
                 GIova::new(iova),
                 &mut coalesced,
@@ -611,68 +579,68 @@ mod tests {
         }
         assert_eq!(plain.stats(), coalesced.stats());
         assert_eq!(plain.nested_stats(), coalesced.nested_stats());
-        assert!(!memo.is_empty());
+        assert!(memo.len() > 0);
     }
 
     #[test]
     fn memo_entries_survive_migration_and_stay_correct() {
-        // Canonical-coordinate entries need no invalidation on slab
-        // migration: the same memo must produce the *new* hPA afterwards.
-        let mut space = space_4k();
+        // Build-coordinate entries need no invalidation on slab migration:
+        // the same memo must produce the *new* hPA afterwards.
+        let space = space_4k();
         let mut c = caches();
-        let mut memo = WalkMemo::new();
+        let mut memo = WalkMemo::default();
         let iova = GIova::new(0x3480_0000);
         let before =
-            TwoDimWalker::walk_memoized(&space, Sid::new(0), iova, &mut c, Some(&mut memo), 0)
+            TwoDimWalker::walk_memoized(own(&space), Sid::new(0), iova, &mut c, Some(&mut memo), 0)
                 .unwrap();
-        assert!(!memo.is_empty());
+        assert!(memo.len() > 0);
         let entries = memo.len();
-        space.migrate_to_slab(7);
+        let moved = space.view(Did::new(0), 7);
         c.clear(); // cached translations of the old slab are shot down
         let after =
-            TwoDimWalker::walk_memoized(&space, Sid::new(0), iova, &mut c, Some(&mut memo), 1)
+            TwoDimWalker::walk_memoized(moved, Sid::new(0), iova, &mut c, Some(&mut memo), 1)
                 .unwrap();
         // The memo was reused (no new entries), yet the result tracks the
-        // migrated table exactly as an unmemoized walk would.
+        // migrated tenant exactly as an unmemoized walk would.
         assert_eq!(memo.len(), entries);
         let mut fresh = caches();
-        let plain = TwoDimWalker::walk(&space, Sid::new(0), iova, &mut fresh, 1).unwrap();
+        let plain = TwoDimWalker::walk(moved, Sid::new(0), iova, &mut fresh, 1).unwrap();
         assert_eq!(after.hpa, plain.hpa);
         assert_ne!(after.hpa, before.hpa);
     }
 
     #[test]
-    fn memo_is_shared_across_stamped_siblings() {
-        // Two tenants stamped from one canonical build share layout
-        // entries: walking the same iova in tenant 1 after tenant 0 adds
-        // nothing to the memo, and each tenant still gets its own hPA.
+    fn memo_is_shared_across_tenant_views() {
+        // Two tenants viewing one build share its entries: walking the
+        // same iova in tenant 1 after tenant 0 adds nothing to the memo,
+        // and each tenant still gets its own hPA.
         let mut b = TenantSpace::builder(Did::new(0));
         b.map(GIova::new(0x3480_0000), PageSize::Size4K);
         let canonical = b.build();
-        let spaces = [0, 1].map(|did| canonical.stamp(Did::new(did), did as u64));
+        let views = [0, 1].map(|did| canonical.view(Did::new(did), did as u64));
         let mut c = caches();
-        let mut memo = WalkMemo::new();
+        let mut memo = WalkMemo::default();
         let iova = GIova::new(0x3480_0000);
         let a =
-            TwoDimWalker::walk_memoized(&spaces[0], Sid::new(0), iova, &mut c, Some(&mut memo), 0)
+            TwoDimWalker::walk_memoized(views[0], Sid::new(0), iova, &mut c, Some(&mut memo), 0)
                 .unwrap();
         let entries = memo.len();
         let b =
-            TwoDimWalker::walk_memoized(&spaces[1], Sid::new(1), iova, &mut c, Some(&mut memo), 1)
+            TwoDimWalker::walk_memoized(views[1], Sid::new(1), iova, &mut c, Some(&mut memo), 1)
                 .unwrap();
         assert_eq!(memo.len(), entries, "sibling walk must reuse the memo");
         assert_ne!(a.hpa, b.hpa, "tenants live in different slabs");
-        assert_eq!(b.hpa, spaces[1].lookup(iova).unwrap().0);
+        assert_eq!(b.hpa, views[1].lookup(iova).unwrap().0);
     }
 
     #[test]
     fn memoized_faults_are_not_cached() {
         let space = space_4k();
         let mut c = caches();
-        let mut memo = WalkMemo::new();
+        let mut memo = WalkMemo::default();
         for now in 0..2 {
             let err = TwoDimWalker::walk_memoized(
-                &space,
+                own(&space),
                 Sid::new(0),
                 GIova::new(0xdead_0000),
                 &mut c,
@@ -682,7 +650,7 @@ mod tests {
             .unwrap_err();
             assert!(matches!(err, TranslationFault::GuestNotMapped { .. }));
         }
-        assert!(memo.is_empty());
+        assert_eq!(memo.len(), 0);
     }
 
     #[test]
@@ -700,14 +668,16 @@ mod tests {
                 .map(GIova::new(0xbbe0_0000), PageSize::Size2M);
             let space = b.build();
             let mut c = caches();
-            let out = TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0x3480_0000), &mut c, 0)
-                .unwrap();
+            let out =
+                TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0x3480_0000), &mut c, 0)
+                    .unwrap();
             assert_eq!(out.dram_accesses, cost_4k, "{geom} 4K");
             assert_eq!(out.start_level, geom.guest_levels());
             assert_eq!(out.dram_accesses, geom.full_walk_reads());
             let mut c = caches();
-            let out = TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0xbbe0_0000), &mut c, 0)
-                .unwrap();
+            let out =
+                TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0xbbe0_0000), &mut c, 0)
+                    .unwrap();
             assert_eq!(out.dram_accesses, cost_2m, "{geom} 2M");
         }
     }
@@ -722,57 +692,19 @@ mod tests {
             .map(GIova::new(0xbc00_0000), PageSize::Size2M);
         let space = b.build();
         let mut c = caches();
-        TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0x3480_0000), &mut c, 0).unwrap();
+        TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0x3480_0000), &mut c, 0).unwrap();
         // L2 pointer hit: one guest step remains, 1 x (3 + 1) + 3 = 7.
-        let warm =
-            TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0x3480_0000), &mut c, 1).unwrap();
+        let warm = TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0x3480_0000), &mut c, 1)
+            .unwrap();
         assert_eq!(warm.start_level, 1);
         assert_eq!(warm.dram_accesses, 7);
         // L3 hit on a sibling 2 MB page in the same 1 GiB region: for Sv39
         // the root PTE is the level-3 entry, so the skip leaves one guest
         // step, 1 x 4 + 3 = 7.
-        TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0xbbe0_0000), &mut c, 2).unwrap();
-        let l3 =
-            TwoDimWalker::walk(&space, Sid::new(0), GIova::new(0xbc00_0000), &mut c, 3).unwrap();
+        TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0xbbe0_0000), &mut c, 2).unwrap();
+        let l3 = TwoDimWalker::walk(own(&space), Sid::new(0), GIova::new(0xbc00_0000), &mut c, 3)
+            .unwrap();
         assert_eq!(l3.start_level, 2);
         assert_eq!(l3.dram_accesses, 7);
-    }
-
-    #[test]
-    fn memo_never_crosses_geometries() {
-        use crate::WalkGeometry;
-        // Two layouts mapping the same iova in different geometries share
-        // one memo; each still gets its own (correct) functional result.
-        let iova = GIova::new(0x3480_0000);
-        let mut memo = WalkMemo::new();
-        for geom in [WalkGeometry::X86Nested4, WalkGeometry::RiscvSv39x4] {
-            let mut b = TenantSpace::builder(Did::new(0));
-            b.geometry(geom).map(iova, PageSize::Size4K);
-            let space = b.build();
-            let mut c = caches();
-            let out =
-                TwoDimWalker::walk_memoized(&space, Sid::new(0), iova, &mut c, Some(&mut memo), 0)
-                    .unwrap();
-            assert_eq!(out.dram_accesses, geom.full_walk_reads());
-            assert_eq!(out.hpa, space.lookup(iova).unwrap().0);
-        }
-        // One guest path and at least one host page per geometry.
-        assert_eq!(memo.len().0, 2);
-    }
-
-    #[test]
-    fn walk_for_indexes_by_did() {
-        let spaces = vec![space_4k()];
-        let mut c = caches();
-        let out = TwoDimWalker::walk_for(
-            &spaces,
-            Sid::new(0),
-            Did::new(0),
-            GIova::new(0x3480_0000),
-            &mut c,
-            0,
-        )
-        .unwrap();
-        assert_eq!(out.dram_accesses, 24);
     }
 }

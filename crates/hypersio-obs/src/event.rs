@@ -170,8 +170,8 @@ pub enum Event {
         /// True for a global (all-DID) shootdown.
         global: bool,
     },
-    /// A tenant's VM migrated: its host page table was re-stamped at a new
-    /// location and its translations shot down.
+    /// A tenant's VM migrated: its host-side memory moved to a new slab
+    /// and its translations were shot down.
     TenantRemap {
         /// The migrated tenant.
         did: Did,
@@ -201,13 +201,12 @@ pub enum Event {
         did: Did,
     },
     /// The RSS watchdog crossed its limit and shed re-derivable memory
-    /// (lazy page-table residency and the walk memo). Model-transparent:
-    /// everything shed is rebuilt bit-identically on demand.
+    /// (the IOMMU's walk memo). Model-transparent: everything shed is
+    /// rebuilt bit-identically on demand.
     MemoryPressure {
         /// Observed resident-set size when the limit was crossed, bytes.
         rss_bytes: u64,
-        /// Re-derivable entries shed (resident tenant spaces + walk-memo
-        /// entries).
+        /// Re-derivable entries shed (walk-memo entries).
         shed_entries: u64,
     },
     /// A sharded run's worker panicked and the supervisor is retrying the

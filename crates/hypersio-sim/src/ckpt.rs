@@ -1,10 +1,10 @@
-//! The `hypersio-checkpoint/v2` on-disk run-checkpoint format.
+//! The `hypersio-checkpoint/v3` on-disk run-checkpoint format.
 //!
 //! A checkpoint is one textual JSON header line followed by a binary
 //! little-endian `u64`-word body:
 //!
 //! ```text
-//! {"schema":"hypersio-checkpoint/v2","config":"HyperTRIO","tenants":128,
+//! {"schema":"hypersio-checkpoint/v3","config":"HyperTRIO","tenants":128,
 //!  "fingerprint":"0x...","words":N,"crc":"0x..."}\n
 //! <N words x 8 bytes, little-endian>
 //! ```
@@ -20,8 +20,10 @@
 //! silently wrong resume.
 //!
 //! Checkpoints are same-build resume files, so only the current schema is
-//! read: v2 changed the page-table pool section (residents in recency
-//! order, no touch ticks), and a v1 file is refused as a header error.
+//! read. v3 replaced the page-table pool section with the IOMMU's slab
+//! overrides (the migrated tenants' host slabs, in ascending DID order),
+//! since every tenant now translates through one canonical build; v1 and
+//! v2 files are refused as header errors.
 
 use std::fmt;
 
@@ -31,7 +33,7 @@ use hypersio_types::json::{self, escape, Json};
 use crate::model::Simulation;
 
 /// Schema tag of the checkpoint header line.
-pub const CHECKPOINT_SCHEMA: &str = "hypersio-checkpoint/v2";
+pub const CHECKPOINT_SCHEMA: &str = "hypersio-checkpoint/v3";
 
 /// Why a checkpoint file could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,7 +151,7 @@ impl Simulation {
         fnv1a64(identity.as_bytes())
     }
 
-    /// Encodes this run's full mutable state as a `hypersio-checkpoint/v2`
+    /// Encodes this run's full mutable state as a `hypersio-checkpoint/v3`
     /// file image. Only meaningful at a frame boundary — which is
     /// the only place the run loop ([`Simulation::run_controlled`]) calls
     /// it.
@@ -359,19 +361,108 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn a_v1_checkpoint_is_a_header_error() {
+    /// A current checkpoint relabelled as `schema` is refused as a header
+    /// error naming that schema.
+    fn assert_schema_refused(schema: &str) {
         let bytes = sim(8, 3).checkpoint_bytes();
         let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
         let header = std::str::from_utf8(&bytes[..newline]).unwrap();
-        let mut v1 = header
-            .replace(CHECKPOINT_SCHEMA, "hypersio-checkpoint/v1")
-            .into_bytes();
-        v1.extend_from_slice(&bytes[newline..]);
+        let mut old = header.replace(CHECKPOINT_SCHEMA, schema).into_bytes();
+        old.extend_from_slice(&bytes[newline..]);
         assert!(matches!(
-            sim(8, 3).resume_from_bytes(&v1),
-            Err(CheckpointError::Header(msg)) if msg.contains("hypersio-checkpoint/v1")
+            sim(8, 3).resume_from_bytes(&old),
+            Err(CheckpointError::Header(msg)) if msg.contains(schema)
         ));
+    }
+
+    #[test]
+    fn a_v1_checkpoint_is_a_header_error() {
+        assert_schema_refused("hypersio-checkpoint/v1");
+    }
+
+    #[test]
+    fn a_v2_checkpoint_is_a_header_error() {
+        assert_schema_refused("hypersio-checkpoint/v2");
+    }
+
+    /// Splits a checkpoint image into its header line and body words.
+    fn split(bytes: &[u8]) -> (String, Vec<u64>) {
+        let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
+        let header = String::from_utf8(bytes[..newline].to_vec()).unwrap();
+        let words = bytes[newline + 1..]
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        (header, words)
+    }
+
+    /// Reassembles a checkpoint from `header` and edited `words`, with the
+    /// header's checksum recomputed so only the body decoder can object.
+    fn join(header: &str, words: &[u64]) -> Vec<u8> {
+        let body: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let crc = hex_field(&json::parse(header).unwrap(), "crc").unwrap();
+        let mut out = header
+            .replace(
+                &format!("{crc:#018x}"),
+                &format!("{:#018x}", fnv1a64(&body)),
+            )
+            .into_bytes();
+        out.push(b'\n');
+        out.extend_from_slice(&body);
+        out
+    }
+
+    #[test]
+    fn a_parked_packet_past_the_longest_backoff_is_corrupt() {
+        use crate::control::{RunControl, RunOutcome};
+        use hypersio_types::SimDuration;
+        let base = || {
+            let trace = HyperTraceBuilder::new(WorkloadKind::Iperf3, 8)
+                .scale(2000)
+                .seed(3)
+                .build();
+            Simulation::new(TranslationConfig::base(), SimParams::paper(), trace)
+        };
+        // Body layout: the request clock, the trace cursor, then the
+        // arrival stage's slot, arrivals, observed, and parked queue.
+        let mut trace_words = Vec::new();
+        base().trace().snapshot_words(&mut trace_words);
+        let slot_at = 1 + trace_words.len();
+        let parked_at = slot_at + 3;
+        // Stop at frame boundaries until one holds a PTB-dropped packet.
+        let (header, mut words) = (1..200)
+            .find_map(|us| {
+                let mut ctl = RunControl {
+                    stop_after: Some(SimDuration::from_us(us)),
+                    ..RunControl::default()
+                };
+                let RunOutcome::Interrupted { checkpoint } =
+                    base().run_controlled(&mut hypersio_obs::NullObserver, &mut ctl)
+                else {
+                    return None;
+                };
+                let (header, words) = split(&checkpoint);
+                (words[parked_at] == 1).then_some((header, words))
+            })
+            .expect("Base at 8 tenants parks a dropped packet");
+        let slot = words[slot_at];
+        assert!(
+            words[parked_at + 1] <= slot,
+            "a drop retries at the next slot"
+        );
+        assert_eq!(base().resume_from_bytes(&join(&header, &words)), Ok(()));
+        // Without a fault plan no packet waits more than one slot; a later
+        // eligible slot would resume into a run that idles until it.
+        words[parked_at + 1] = slot + 1;
+        assert_eq!(base().resume_from_bytes(&join(&header, &words)), Ok(()));
+        for eligible in [slot + 2, u64::MAX / 4] {
+            words[parked_at + 1] = eligible;
+            assert_eq!(
+                base().resume_from_bytes(&join(&header, &words)),
+                Err(CheckpointError::Corrupt),
+                "eligible at slot {eligible}, now {slot}"
+            );
+        }
     }
 
     #[test]

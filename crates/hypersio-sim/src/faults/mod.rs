@@ -506,6 +506,11 @@ impl FaultInjector {
         self.backoff.delay_slots(retries)
     }
 
+    /// The longest retry delay [`Self::backoff_slots`] can return.
+    pub(crate) fn max_backoff_slots(&self) -> u64 {
+        self.backoff.cap_slots.max(1)
+    }
+
     /// Retries before a blocked packet is terminally dropped.
     pub(crate) fn max_retries(&self) -> u32 {
         self.backoff.max_retries

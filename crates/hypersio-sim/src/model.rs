@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use hypersio_mem::{Iommu, IommuParams, SpacePool, TenantSpace};
+use hypersio_mem::{Iommu, IommuParams, TenantSpace};
 use hypersio_obs::{Event, NullObserver, Observer, PacketSpan, SpanComponents};
 use hypersio_trace::HyperTrace;
 use hypersio_types::{Bandwidth, Did, SimDuration};
@@ -101,14 +101,11 @@ pub struct Simulation {
 impl Simulation {
     /// Builds a simulation over the trace's page inventory.
     ///
-    /// Construction builds one canonical [`TenantSpace`] and a
-    /// [`SpacePool`] over DIDs `0..=max_did` (a shard trace carries
-    /// strided global DIDs, so the bound is its highest lane DID). Each
-    /// tenant's tables are stamped from the canonical build on first
-    /// touch; under a [`SimParams::table_budget`] the least recently
-    /// touched spaces are evicted and re-stamped on their next touch, and
-    /// with no budget nothing is evicted. Every budget produces
-    /// bit-identical reports.
+    /// Construction builds one canonical [`TenantSpace`] and an IOMMU
+    /// serving DIDs `0..=max_did` (a shard trace carries strided global
+    /// DIDs, so the bound is its highest lane DID). Every tenant
+    /// translates through a view of that one build, so construction cost
+    /// and memory do not grow with the tenant count.
     ///
     /// # Panics
     ///
@@ -124,8 +121,8 @@ impl Simulation {
         );
         // Every tenant runs the same OS and driver, so the page inventory —
         // and hence the table *shape* — is shared. Build the canonical
-        // layout once; the pool stamps per-DID instances from it (the
-        // layout is affine in the DID, see `TenantSpace::stamp`).
+        // layout once; each tenant is a view of it (the layout is affine
+        // in the DID, see `TenantSpace::view`).
         let mut b = TenantSpace::builder(Did::new(0));
         b.geometry(params.walk_geometry);
         for &(iova, size, _) in inventory.iter() {
@@ -138,8 +135,7 @@ impl Simulation {
             scheme: params.translation_scheme,
         };
         let max_did = did_first as u64 + (trace.tenants().max(1) - 1) as u64 * did_stride as u64;
-        let pool = SpacePool::new(b.build(), (max_did + 1) as u32, params.table_budget);
-        let iommu = Iommu::new(iommu_params, pool);
+        let iommu = Iommu::new(iommu_params, b.build(), (max_did + 1) as u32);
         let devtlb = DevTlb::new(
             config.devtlb_geometry,
             config.devtlb_partitions,
@@ -234,7 +230,8 @@ impl Simulation {
     pub(crate) fn restore_words(&mut self, r: &mut hypersio_cache::WordReader<'_>) -> Option<()> {
         let st = &mut self.state;
         st.clock.restore_words(r)?;
-        st.arrival.restore_words(r)?;
+        let max_delay = st.faults.as_ref().map_or(1, |f| f.max_backoff_slots());
+        st.arrival.restore_words(r, max_delay)?;
         st.prefetch.restore_words(r)?;
         st.lookup.restore_words(r)?;
         st.walk.restore_words(r)?;
@@ -360,13 +357,13 @@ impl Simulation {
                 if frames.is_multiple_of(RSS_CHECK_FRAMES) {
                     if let Some(rss) = current_rss_bytes() {
                         if rss > limit {
-                            let (spaces, memo) = self.state.walk.relieve_memory_pressure();
+                            let shed = self.state.walk.relieve_memory_pressure();
                             if O::ENABLED {
                                 obs.record(
                                     now.as_ps(),
                                     Event::MemoryPressure {
                                         rss_bytes: rss,
-                                        shed_entries: spaces + memo,
+                                        shed_entries: shed,
                                     },
                                 );
                             }

@@ -83,17 +83,6 @@ pub struct SimParams {
     /// IO page faults). Defaults to [`FaultPlan::none`], which injects
     /// nothing and leaves the run byte-identical to earlier versions.
     pub fault_plan: FaultPlan,
-    /// Host-memory budget (in bytes) for resident per-tenant page tables.
-    ///
-    /// Tables are always stamped out from the canonical layout on a
-    /// tenant's first translation (see [`hypersio_mem::SpacePool`]).
-    /// `None` (the default) keeps every stamped space resident;
-    /// `Some(bytes)` evicts the least recently touched spaces once the
-    /// budget is exceeded. Rebuilds are bit-identical to the evicted
-    /// tables, so every translation result — and hence the whole report —
-    /// is unchanged by the budget; only host RSS and simulator wall time
-    /// vary.
-    pub table_budget: Option<u64>,
 }
 
 impl SimParams {
@@ -113,7 +102,6 @@ impl SimParams {
             warmup_packets: 0,
             per_tenant: false,
             fault_plan: FaultPlan::none(),
-            table_budget: None,
         }
     }
 
@@ -179,11 +167,13 @@ impl SimParams {
         self
     }
 
-    /// Caps resident page-table host memory at `bytes` (see
-    /// [`SimParams::table_budget`]). Reports are bit-identical for every
-    /// budget.
-    pub fn with_table_budget(mut self, bytes: u64) -> Self {
-        self.table_budget = Some(bytes);
+    /// Does nothing and returns `self` unchanged.
+    ///
+    /// It once capped the host memory of per-tenant page-table copies.
+    /// Every tenant now translates through one canonical build (see
+    /// [`hypersio_mem::TenantSpace::view`]), so there is nothing left to
+    /// budget; the setter remains only so existing callers keep building.
+    pub fn with_table_budget(self, _bytes: u64) -> Self {
         self
     }
 }
@@ -272,15 +262,6 @@ mod tests {
         assert_eq!(
             SimParams::paper().with_link(link).link.bandwidth().gbps(),
             400.0
-        );
-    }
-
-    #[test]
-    fn table_budget_builder() {
-        assert!(SimParams::paper().table_budget.is_none());
-        assert_eq!(
-            SimParams::paper().with_table_budget(64 << 20).table_budget,
-            Some(64 << 20)
         );
     }
 

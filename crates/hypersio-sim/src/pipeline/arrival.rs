@@ -386,7 +386,17 @@ impl ArrivalSource {
     /// Restores the stage from a checkpoint stream. The trace restore
     /// validates the lane layout, so a foreign stream is rejected before
     /// any counter is touched.
-    pub(crate) fn restore_words(&mut self, r: &mut hypersio_cache::WordReader<'_>) -> Option<()> {
+    ///
+    /// `max_delay` is the longest retry delay the run can park a packet
+    /// for (the fault plan's backoff cap, or 1 without faults): a parked
+    /// packet eligible later than `max_delay` slots past the current slot
+    /// cannot come from this run, and is rejected rather than resumed into
+    /// a run that idles until it.
+    pub(crate) fn restore_words(
+        &mut self,
+        r: &mut hypersio_cache::WordReader<'_>,
+        max_delay: u64,
+    ) -> Option<()> {
         self.trace.restore_words(r)?;
         self.slot = r.next()?;
         self.arrivals = r.next()?;
@@ -398,6 +408,9 @@ impl ArrivalSource {
         self.parked.clear();
         for _ in 0..n {
             let eligible_slot = r.next()?;
+            if eligible_slot > self.slot.saturating_add(max_delay) {
+                return None;
+            }
             let work = Deferred::decode(r)?;
             self.parked.push_back(Parked {
                 eligible_slot,

@@ -236,16 +236,16 @@ impl WalkStage {
         self.iommu.walk_cache_stats()
     }
 
-    /// Sheds re-derivable IOMMU memory (walk memo, lazy table residency)
-    /// under memory pressure; returns `(spaces_evicted, memo_entries)`.
-    /// Model-transparent: both are rebuilt bit-identically on demand.
-    pub(crate) fn relieve_memory_pressure(&mut self) -> (u64, u64) {
+    /// Sheds re-derivable IOMMU memory (the walk memo) under memory
+    /// pressure; returns the memo entries dropped. Model-transparent: the
+    /// memo is rebuilt bit-identically on demand.
+    pub(crate) fn relieve_memory_pressure(&mut self) -> u64 {
         self.iommu.relieve_memory_pressure()
     }
 
     /// Appends the stage's state for a run checkpoint: the IOMMU (stats,
-    /// context cache, walk caches, space pool), the PTB occupancy, and the
-    /// optional walker pool.
+    /// context cache, walk caches, migrated tenants' slabs), the PTB
+    /// occupancy, and the optional walker pool.
     pub(crate) fn snapshot_words(&self, out: &mut Vec<u64>) {
         self.iommu.snapshot_words(out);
         self.ptb.snapshot_words(out);

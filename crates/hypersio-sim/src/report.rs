@@ -79,7 +79,7 @@ pub struct SimReport {
     /// Invalidation storms applied (per-DID or global shootdowns); zero
     /// without fault injection.
     pub inv_storms: u64,
-    /// Tenant migrations applied (page tables rebased + shootdown); zero
+    /// Tenant migrations applied (host slab moved + shootdown); zero
     /// without fault injection.
     pub tenant_remaps: u64,
     /// IOMMU aggregate statistics (includes prefetch traffic).

@@ -1,13 +1,13 @@
 //! Interrupt–resume determinism, end to end.
 //!
-//! The contract of `hypersio-checkpoint/v2` (DESIGN.md §16) is that an
+//! The contract of `hypersio-checkpoint/v3` (DESIGN.md §16) is that an
 //! interrupted run, resumed from its checkpoint, is indistinguishable from
 //! a run that was never interrupted: the final report is byte-identical
 //! and the pre-interrupt event stream concatenated with the post-resume
 //! stream equals the uninterrupted stream exactly. These tests pin that
-//! contract at the nastiest interrupt points — mid invalidation storm,
-//! mid PRI retry, mid lazy-table eviction — across small and large tenant
-//! counts and both translation designs, and then fuzz the two operator
+//! contract at the nastiest interrupt points — mid invalidation storm and
+//! mid PRI retry — across small and large tenant counts and both
+//! translation designs, and then fuzz the two operator
 //! inputs (checkpoint files, fault-plan JSON) with seeded corruption to
 //! check that damage always surfaces as a typed error, never a panic and
 //! never a silently wrong resume.
@@ -140,21 +140,6 @@ fn resume_mid_pri_retry_is_bit_exact() {
             SimParams::paper().with_fault_plan(plan),
             t,
             &format!("pri/{}/{}t", config.name, tenants),
-        );
-    }
-}
-
-#[test]
-fn resume_mid_lazy_eviction_is_bit_exact() {
-    for (config, tenants, scale) in matrix() {
-        let t = trace(tenants, scale, 5);
-        // A one-byte table budget keeps the lazy pool evicting on every
-        // touch, so the interrupt always lands mid eviction churn.
-        assert_resume_is_bit_exact(
-            config.clone(),
-            SimParams::paper().with_table_budget(1),
-            t,
-            &format!("evict/{}/{}t", config.name, tenants),
         );
     }
 }

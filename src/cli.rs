@@ -85,9 +85,6 @@ pub struct SimArgs {
     /// merged deterministically. `1` (the default) is the plain
     /// single-queue run.
     pub shards: u32,
-    /// Host-memory budget for resident per-tenant page tables, in MiB.
-    /// `None` keeps every stamped table resident.
-    pub table_budget_mb: Option<u64>,
     /// Collect per-tenant statistics and print the fairness table (`sim`).
     pub per_tenant: bool,
     /// Write a JSONL event trace to this path (`sim`).
@@ -124,8 +121,8 @@ pub struct SimArgs {
     /// there — but deterministically. Requires `--checkpoint-out`.
     pub stop_after_us: Option<u64>,
     /// RSS watchdog limit in MiB (`sim`): when the process grows past
-    /// this, re-derivable memory (lazy page-table residency, the walk
-    /// memo) is shed. The report is unaffected.
+    /// this, re-derivable memory (the walk memo) is shed. The report is
+    /// unaffected.
     pub rss_limit_mb: Option<u64>,
     /// Attempts per shard before a panicking worker fails the run
     /// (`sim` with `--shards > 1`); enables shard supervision.
@@ -160,7 +157,6 @@ impl Default for SimArgs {
             warmup: 1000,
             jobs: default_jobs(),
             shards: 1,
-            table_budget_mb: None,
             per_tenant: false,
             trace_out: None,
             trace_cap: 65536,
@@ -258,9 +254,6 @@ impl SimArgs {
         if self.per_tenant {
             params = params.with_per_tenant();
         }
-        if let Some(mb) = self.table_budget_mb {
-            params = params.with_table_budget(mb << 20);
-        }
         params
     }
 }
@@ -309,10 +302,6 @@ SCALE-OUT (sim only; results stay deterministic):
                            queues, simulated in parallel and merged
                            deterministically (any --jobs value gives a
                            bit-identical merged report)          [1]
-    --table-budget-mb <N>  cap resident per-tenant page tables at N MiB;
-                           tables are stamped on first touch and
-                           LRU-evicted under the cap (the report is
-                           bit-identical to the unbounded default)
 
 OBSERVABILITY (sim only; no effect on the simulated behaviour):
     --per-tenant           collect per-DID stats + fairness summary
@@ -344,8 +333,8 @@ RESILIENCE (sim only; the report stays bit-identical):
                               resumed run replays the remainder exactly:
                               report and event tail are byte-identical to
                               an uninterrupted run
-    --rss-limit-mb <N>        shed re-derivable memory (lazy page tables,
-                              walk memo) when process RSS exceeds N MiB
+    --rss-limit-mb <N>        shed re-derivable memory (the walk memo)
+                              when process RSS exceeds N MiB
     --max-shard-attempts <N>  with --shards > 1: contain a panicking
                               worker and retry its shard up to N times
                               (in-memory checkpoints; merged report is
@@ -462,15 +451,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 if parsed.shards == 0 {
                     return Err(ParseError("--shards must be at least 1".into()));
                 }
-            }
-            "--table-budget-mb" => {
-                let mb: u64 = value
-                    .parse()
-                    .map_err(|e| ParseError(format!("bad --table-budget-mb: {e}")))?;
-                if mb == 0 {
-                    return Err(ParseError("--table-budget-mb must be at least 1".into()));
-                }
-                parsed.table_budget_mb = Some(mb);
             }
             "--trace-out" => parsed.trace_out = Some(value.clone()),
             "--trace-cap" => {
@@ -870,17 +850,12 @@ mod tests {
 
     #[test]
     fn scale_out_flags_parse_and_wire_params() {
-        let Command::Sim(args) =
-            parse(&argv("sim --tenants 64 --shards 4 --table-budget-mb 256")).unwrap()
-        else {
+        let Command::Sim(args) = parse(&argv("sim --tenants 64 --shards 4")).unwrap() else {
             panic!("expected sim");
         };
         assert_eq!(args.shards, 4);
-        assert_eq!(args.table_budget_mb, Some(256));
-        assert_eq!(args.params().table_budget, Some(256 << 20));
-        // Defaults: one shard, no table budget.
+        // Default: one shard.
         assert_eq!(SimArgs::default().shards, 1);
-        assert_eq!(SimArgs::default().params().table_budget, None);
     }
 
     #[test]
@@ -888,8 +863,10 @@ mod tests {
         for (input, needle) in [
             ("sim --shards 0", "at least 1"),
             ("sim --shards x", "bad --shards"),
-            ("sim --table-budget-mb 0", "at least 1"),
-            ("sim --table-budget-mb x", "bad --table-budget-mb"),
+            (
+                "sim --table-budget-mb 64",
+                "unknown option \"--table-budget-mb\"",
+            ),
             ("sim --shards 8 --tenants 4", "at least one tenant"),
             ("sim --tenants 4 --shards 8", "at least one tenant"),
             ("sim --shards 2 --fault-rate 0.1", "single shard"),
